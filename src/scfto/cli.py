@@ -1,22 +1,13 @@
-"""Command-line interface: run a scenario, sweep a parameter, or run the
-built-in oracle self-tests.
-"""
+"""Command-line interface: run a scenario or sweep a parameter."""
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from dataclasses import replace
 
 from . import __version__
 from .config import ConfigError, SimConfig, load_config
-from .fuzzy import WeightedEndpointList, reference_type_reduce, type_reduce
 from .metrics import load_scenario, run_sweep, run_to_files
-from .network import NodeState
-from .outlier import detect_threshold
-from .phy import ChannelState, sample_channel_state
-from .protocol import ActionKind, head_action
-from .rng import StreamFactory
 
 
 def _load(args) -> SimConfig:
@@ -58,95 +49,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    failures = 0
-    failures += _check("type reduction vs exhaustive switch-point search",
-                       _selftest_type_reduction)
-    failures += _check("channel stationary bad-state frequency",
-                       _selftest_channel)
-    failures += _check("per-tier attack frequency calibration",
-                       _selftest_attack_rates)
-    failures += _check("outlier threshold hand fixtures",
-                       _selftest_outlier)
-    if failures:
-        print(f"{failures} selftest(s) FAILED")
-        return 1
-    print("all selftests passed")
-    return 0
-
-
-def _check(name: str, fn) -> int:
-    try:
-        fn()
-    except AssertionError as exc:
-        print(f"FAIL {name}: {exc}")
-        return 1
-    print(f"PASS {name}")
-    return 0
-
-
-def _random_endpoint_list(rng: random.Random) -> WeightedEndpointList:
-    n = rng.randint(9, 16)
-    def make_side():
-        xs = sorted(rng.random() for _ in range(n))
-        lo, hi = [], []
-        for _ in range(n):
-            h = rng.random()
-            lo.append(h * rng.uniform(0.05, 1.0))
-            hi.append(h)
-        lo_sum, hi_sum = sum(lo), sum(hi)
-        return [(x, a / lo_sum, b / hi_sum) for x, a, b in zip(xs, lo, hi)]
-    return WeightedEndpointList(left=make_side(), right=make_side())
-
-
-def _selftest_type_reduction(samples: int = 300) -> None:
-    rng = random.Random(20240917)
-    for _ in range(samples):
-        wel = _random_endpoint_list(rng)
-        got = type_reduce(wel)
-        want = reference_type_reduce(wel)
-        assert abs(got[0] - want[0]) < 1e-9 and abs(got[1] - want[1]) < 1e-9, \
-            f"EIASC {got} != exhaustive {want}"
-
-
-def _selftest_channel(draws: int = 100_000) -> None:
-    config = SimConfig()
-    streams = StreamFactory(7)
-    bad = sum(
-        sample_channel_state(config.channel, streams.stream("channel", round_idx=r))
-        is ChannelState.BAD
-        for r in range(draws))
-    freq = bad / draws
-    expect = config.channel.p_bad
-    assert abs(freq - expect) < 0.02, f"bad-state frequency {freq:.4f} vs {expect}"
-
-
-def _selftest_attack_rates(draws: int = 100_000) -> None:
-    config = SimConfig()
-    for tier in (1, 2, 3):
-        node = NodeState(id=0, position=(0.0, 0.0), energy_j=1.0, tier=tier)
-        rng = random.Random(40 + tier)
-        drops = delays = 0
-        for _ in range(draws):
-            action = head_action(node, rng, config)
-            drops += action.kind is ActionKind.DROP
-            delays += action.kind is ActionKind.DELAY
-        assert abs(drops / draws - tier * config.attack.p_sf) < 0.01, \
-            f"tier {tier} drop rate {drops / draws:.4f}"
-        assert abs(delays / draws - tier * config.attack.p_df) < 0.01, \
-            f"tier {tier} delay rate {delays / draws:.4f}"
-
-
-def _selftest_outlier() -> None:
-    params = SimConfig().outlier
-    got = detect_threshold([0.9, 0.905, 0.91, 0.2], params)
-    assert got == 0.9, f"four-value fixture returned {got}"
-    high = [0.80, 0.802, 0.804, 0.806, 0.808]
-    low = [0.10, 0.102, 0.104, 0.106, 0.108]
-    got = detect_threshold(high + low, params)
-    assert got == 0.80, f"bimodal fixture returned {got}"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scfto",
@@ -172,9 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("spec", help="scenario spec file")
     p_sweep.add_argument("--out", help="override the scenario output dir")
     p_sweep.set_defaults(fn=cmd_sweep)
-
-    p_self = sub.add_parser("selftest", help="run built-in oracle suites")
-    p_self.set_defaults(fn=cmd_selftest)
     return parser
 
 

@@ -283,14 +283,6 @@ class SimConfig:
 # flat key-value config files
 # ---------------------------------------------------------------------------
 
-def _parse_float(s: str) -> float:
-    return float(s)
-
-
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
 def _parse_tuple3(s: str) -> tuple:
     parts = [float(p) for p in s.split(",")]
     if len(parts) != 3:
@@ -316,43 +308,43 @@ def _parse_channel_force(s: str):
 # key -> (path into SimConfig, parser).  Paths are dotted attribute names;
 # special keys are handled in load_config.
 _SCALAR_KEYS = {
-    "field_width_m": ("field_width_m", _parse_float),
-    "field_height_m": ("field_height_m", _parse_float),
-    "node_count": ("node_count", _parse_int),
-    "malicious_fraction": ("malicious_fraction", _parse_float),
-    "data_packet_bits": ("data_packet_bits", _parse_int),
-    "control_packet_bits": ("control_packet_bits", _parse_int),
-    "e_0": ("initial_energy_j", _parse_float),
-    "rounds": ("rounds", _parse_int),
-    "cycle_len_rounds": ("cycle_len_rounds", _parse_int),
-    "seed": ("seed", _parse_int),
+    "field_width_m": ("field_width_m", float),
+    "field_height_m": ("field_height_m", float),
+    "node_count": ("node_count", int),
+    "malicious_fraction": ("malicious_fraction", float),
+    "data_packet_bits": ("data_packet_bits", int),
+    "control_packet_bits": ("control_packet_bits", int),
+    "e_0": ("initial_energy_j", float),
+    "rounds": ("rounds", int),
+    "cycle_len_rounds": ("cycle_len_rounds", int),
+    "seed": ("seed", int),
     "force_channel": ("force_channel", _parse_channel_force),
-    "e_elec": ("radio.e_elec", _parse_float),
-    "eps_fs": ("radio.eps_fs", _parse_float),
-    "eps_amp": ("radio.eps_amp", _parse_float),
-    "e_da": ("radio.e_da", _parse_float),
-    "e_h": ("radio.e_h", _parse_float),
-    "e_m": ("radio.e_m", _parse_float),
-    "d_m_s": ("radio.d_m_s", _parse_float),
-    "alpha_0": ("channel.alpha_0", _parse_float),
-    "alpha_1": ("channel.alpha_1", _parse_float),
-    "p_cd": ("effects.p_cd", _parse_float),
-    "p_no": ("effects.p_no", _parse_float),
-    "p_sf": ("attack.p_sf", _parse_float),
-    "p_df": ("attack.p_df", _parse_float),
-    "p_0": ("election.p0_init", _parse_float),
-    "p_ct": ("election.p_ct", _parse_float),
-    "p_t": ("election.p_t", _parse_float),
-    "p_mt": ("election.p_mt", _parse_float),
-    "p_dt": ("election.p_dt", _parse_float),
-    "eta": ("election.eta", _parse_float),
-    "n_lch": ("election.n_lch", _parse_int),
-    "n_nch": ("join.n_nch", _parse_int),
-    "t_nbr": ("outlier.t_nbr", _parse_float),
-    "core_fraction": ("outlier.core_fraction", _parse_float),
-    "th_d": ("outlier.th_d", _parse_float),
-    "n_s": ("outlier.n_s", _parse_int),
-    "dfr_bypass": ("trust_flc.dfr_bypass", _parse_float),
+    "e_elec": ("radio.e_elec", float),
+    "eps_fs": ("radio.eps_fs", float),
+    "eps_amp": ("radio.eps_amp", float),
+    "e_da": ("radio.e_da", float),
+    "e_h": ("radio.e_h", float),
+    "e_m": ("radio.e_m", float),
+    "d_m_s": ("radio.d_m_s", float),
+    "alpha_0": ("channel.alpha_0", float),
+    "alpha_1": ("channel.alpha_1", float),
+    "p_cd": ("effects.p_cd", float),
+    "p_no": ("effects.p_no", float),
+    "p_sf": ("attack.p_sf", float),
+    "p_df": ("attack.p_df", float),
+    "p_0": ("election.p0_init", float),
+    "p_ct": ("election.p_ct", float),
+    "p_t": ("election.p_t", float),
+    "p_mt": ("election.p_mt", float),
+    "p_dt": ("election.p_dt", float),
+    "eta": ("election.eta", float),
+    "n_lch": ("election.n_lch", int),
+    "n_nch": ("join.n_nch", int),
+    "t_nbr": ("outlier.t_nbr", float),
+    "core_fraction": ("outlier.core_fraction", float),
+    "th_d": ("outlier.th_d", float),
+    "n_s": ("outlier.n_s", int),
+    "dfr_bypass": ("trust_flc.dfr_bypass", float),
 }
 
 

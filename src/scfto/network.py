@@ -27,7 +27,6 @@ class NodeState:
     rounds_since_head: int | None = None  # None means "never been head"
     alive: bool = True
     p_ch: float = 0.07
-    death_round: int | None = None
     # latest acceptance-message energy extremes, for the election formula
     e_max: float | None = None
     e_min: float | None = None
@@ -87,7 +86,6 @@ class SimState:
         if node.energy_j <= 0.0:
             node.energy_j = 0.0
             node.alive = False
-            node.death_round = round_idx
             self.deaths.append((round_idx, node.id))
         return paid == amount
 

@@ -6,7 +6,6 @@ its minimum becomes the adaptive trust threshold.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .config import OutlierParams
@@ -15,10 +14,14 @@ from .config import OutlierParams
 def neighbor_counts(values: list, t_nbr: float) -> list:
     """For each value (sorted order), the count of *other* values at
     absolute distance strictly below t_nbr."""
+    # one pass: [lo, hi) is the window of values within t_nbr of v
     counts = []
+    lo = hi = 0
     for v in values:
-        lo = bisect_right(values, v - t_nbr)
-        hi = bisect_left(values, v + t_nbr)
+        while v - values[lo] >= t_nbr:
+            lo += 1
+        while hi < len(values) and values[hi] - v < t_nbr:
+            hi += 1
         counts.append(hi - lo - 1)  # exclude the value itself
     return counts
 
@@ -83,9 +86,3 @@ class ConvergenceTracker:
         if self.stable_rounds >= self.n_s:
             self.converged = True  # latched, never reset
         self.last_t_th = new_t_th
-
-
-def update_convergence(tracker: ConvergenceTracker,
-                       new_t_th: float | None) -> ConvergenceTracker:
-    tracker.update(new_t_th)
-    return tracker

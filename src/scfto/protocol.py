@@ -35,7 +35,7 @@ def recommendation_items(head) -> list:
     """
     out = []
     for observed, ent in sorted(head.trust.entries.items()):
-        if not ent.known or ent.counters.total_forwarding <= 0:
+        if ent.value is None or ent.counters.total_forwarding <= 0:
             continue
         if ent.value >= VOUCH_LEVEL and ent.counters.total_forwarding < VOUCH_MIN_EVIDENCE:
             continue
@@ -58,16 +58,14 @@ class HeadAction:
 @dataclass
 class ClusterState:
     head: int
-    members: list = field(default_factory=list)
-    slots: dict = field(default_factory=dict)  # member id -> slot index
+    members: list = field(default_factory=list)  # in slot order once scheduled
     e_max: float = 0.0
     e_min: float = 0.0
 
     def schedule(self) -> None:
-        # ascending-id slot assignment keeps the schedule a deterministic
+        # member i of the ascending-id order sends in slot i: a deterministic
         # bijection members -> 0..m-1
         self.members.sort()
-        self.slots = {member: slot for slot, member in enumerate(self.members)}
 
 
 @dataclass
@@ -143,10 +141,7 @@ def choose_head(node: NodeState, heads: list, state: SimState,
     n_nch = state.config.join.n_nch
     ranked = sorted(heads, key=lambda h: (state.distance(node.id, h), h))
     candidates = ranked[:n_nch]
-
-    def trust_of(head_id):
-        ent = node.trust.get(head_id)
-        return ent.value if ent is not None and ent.known else None
+    trust_of = node.trust.value_of  # None while Unknown
 
     if not node.tracker.converged:
         for head_id in candidates:  # already nearest-first
@@ -275,8 +270,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
             self_declared.append(node.id)
             continue
         head = state.node(choice)
-        ent = node.trust.get(choice)
-        trust_at_selection = ent.value if ent is not None and ent.known else 0.0
+        trust_at_selection = node.trust.value_of(choice) or 0.0  # Unknown counts 0
         state.debit(node, tx_energy(config.radio, ctrl,
                                     state.distance(node.id, choice)), round_idx)
         if not node.alive:
@@ -313,12 +307,11 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                 continue
             member.e_max = cluster.e_max
             member.e_min = cluster.e_min
-            head_ent = member.trust.get(head_id)
-            t_head = head_ent.value if head_ent is not None and head_ent.known else None
+            t_head = member.trust.value_of(head_id)
             for observed, t_rec in recommendations:
                 if observed == member_id:
                     continue
-                merge_recommendation(member.trust, observed, t_head, t_rec, round_idx)
+                merge_recommendation(member.trust, observed, t_head, t_rec)
 
     # (5) data phase, member packets in slot order
     data_bits = config.data_packet_bits
@@ -336,42 +329,30 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                                round_idx)
             if not sent:
                 continue  # died mid-transmission, packet lost
-            if not head.alive:
-                # the head died earlier this round: timeout, but energy
-                # exhaustion is not malice, so no trust evidence
+            action = None  # stays None when the head dies before forwarding
+            if head.alive:
+                state.debit(head, rx_energy(config.radio, data_bits), round_idx)
+            if head.alive:
+                action = head_action(head, attack_rng, config)
+                if action.kind is ActionKind.DROP:
+                    report.drop_attacks += 1
+                elif action.kind is ActionKind.DELAY:
+                    report.delay_attacks += 1
+                if action.kind is not ActionKind.DROP:
+                    if state.debit(head, tx_energy(config.radio, data_bits,
+                                                   state.distance(head_id, BS)),
+                                   round_idx):
+                        report.packets_delivered += 1
+                    else:
+                        action = None
+            if action is None:
+                # the head died this round: timeout, but energy exhaustion
+                # is not malice, so no trust evidence
                 if member.alive:
                     state.debit(member, overhear_energy(config.radio,
                                                         config.radio.d_m_s,
                                                         data_bits, False), round_idx)
                 continue
-            state.debit(head, rx_energy(config.radio, data_bits), round_idx)
-            if not head.alive:
-                if member.alive:
-                    state.debit(member, overhear_energy(config.radio,
-                                                        config.radio.d_m_s,
-                                                        data_bits, False), round_idx)
-                continue
-            action = head_action(head, attack_rng, config)
-            if action.kind is ActionKind.DROP:
-                report.drop_attacks += 1
-            elif action.kind is ActionKind.DELAY:
-                report.delay_attacks += 1
-            delivered = False
-            if action.kind in (ActionKind.FORWARD, ActionKind.DELAY):
-                forwarded = state.debit(head, tx_energy(config.radio, data_bits,
-                                                        state.distance(head_id, BS)),
-                                        round_idx)
-                if forwarded:
-                    delivered = True
-                    report.packets_delivered += 1
-                else:
-                    # forwarding attempt died with the head: no evidence
-                    if member.alive:
-                        state.debit(member, overhear_energy(config.radio,
-                                                            config.radio.d_m_s,
-                                                            data_bits, False),
-                                    round_idx)
-                    continue
             if not member.alive:
                 continue
             observe_rng = state.streams.stream("observe", member_id, round_idx)
@@ -393,7 +374,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         head_id = members_of.get(node.id)
         if head_id is not None:
             try:
-                update_direct_trust(node.trust, state.engine, head_id, round_idx)
+                update_direct_trust(node.trust, state.engine, head_id)
             except NoEvidence:
                 pass  # death-drops carry no evidence
             node.tracker.update(detect_threshold(node.trust.known_values(),

@@ -50,11 +50,6 @@ def evidence(counters: EvidenceCounters) -> tuple:
 class TrustEntry:
     value: float | None = None  # None means Unknown
     counters: EvidenceCounters = field(default_factory=EvidenceCounters)
-    last_update_round: int = -1
-
-    @property
-    def known(self) -> bool:
-        return self.value is not None
 
 
 class TrustTable:
@@ -73,15 +68,14 @@ class TrustTable:
             self.entries[observed] = ent
         return ent
 
-    def get(self, observed: int) -> TrustEntry | None:
-        return self.entries.get(observed)
+    def value_of(self, observed: int) -> float | None:
+        """The Known trust in `observed`, or None while it is Unknown."""
+        ent = self.entries.get(observed)
+        return None if ent is None else ent.value
 
     def known_values(self) -> list:
         """All Known trust values (the outlier detector's input multiset)."""
-        return [e.value for e in self.entries.values() if e.known]
-
-    def known_items(self) -> list:
-        return [(k, e.value) for k, e in self.entries.items() if e.known]
+        return [e.value for e in self.entries.values() if e.value is not None]
 
 
 def record_event(table: TrustTable, observed: int, outcome: Outcome) -> None:
@@ -90,18 +84,16 @@ def record_event(table: TrustTable, observed: int, outcome: Outcome) -> None:
 
 
 def update_direct_trust(table: TrustTable, engine: FuzzyTrustEngine,
-                        head: int, round_idx: int) -> float:
+                        head: int) -> float:
     """Re-infer the head's trust from the accumulated evidence."""
     ent = table.entry(head)
     dfr, dfd = evidence(ent.counters)
     ent.value = engine.evaluate(dfd, dfr)
-    ent.last_update_round = round_idx
     return ent.value
 
 
 def merge_recommendation(table: TrustTable, observed: int,
-                         t_head: float | None, t_recommended: float,
-                         round_idx: int) -> bool:
+                         t_head: float | None, t_recommended: float) -> bool:
     """Fold one recommendation about `observed` into the table.
 
     `t_head` is the observer's trust in the recommending head; Unknown or
@@ -113,11 +105,10 @@ def merge_recommendation(table: TrustTable, observed: int,
     if not 0.0 <= t_recommended <= 1.0:
         raise ValueError("recommended trust must lie in [0,1]")
     ent = table.entry(observed)
-    if ent.known and ent.value > 0.0:
+    if ent.value is not None and ent.value > 0.0:
         merged = (ent.value + t_head * t_recommended) / (1.0 + t_head)
     else:
         merged = t_head * t_recommended
     assert 0.0 <= merged <= 1.0
     ent.value = merged
-    ent.last_update_round = round_idx
     return True

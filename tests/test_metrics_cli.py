@@ -1,13 +1,12 @@
 """Metric accumulation, file outputs, sweep scenarios, and the CLI."""
-import os
+from dataclasses import replace
 
 import pytest
 
 from scfto.cli import main
 from scfto.config import ConfigError, SimConfig
-from scfto.metrics import (MetricsAccumulator, ScenarioSpec, apply_sweep,
-                           parse_scenario_text, run_sweep, run_to_files,
-                           simulate)
+from scfto.metrics import (MetricsAccumulator, ScenarioSpec, parse_scenario_text,
+                           run_sweep, run_to_files, simulate)
 from scfto.phy import ChannelState
 from scfto.protocol import RoundReport
 
@@ -116,19 +115,32 @@ def test_scenario_requires_seeds():
         parse_scenario_text("sweep_key = rounds\nsweep_values = 5\n")
 
 
-def test_scenario_rejects_unknown_sweep_key():
+def test_scenario_sweep_key_and_values_go_together():
     with pytest.raises(ConfigError):
-        parse_scenario_text("seeds = 1\nsweep_key = bogus\n")
+        parse_scenario_text("seeds = 1\nsweep_values = 0.1,0.5\n")
+    with pytest.raises(ConfigError):
+        parse_scenario_text("seeds = 1\nsweep_key = rounds\n")
 
 
-def test_apply_sweep_nested_and_flat():
-    cfg = SimConfig()
-    assert apply_sweep(cfg, "malicious_fraction", "0.4").malicious_fraction == 0.4
-    assert apply_sweep(cfg, "rounds", "7").rounds == 7
-    assert apply_sweep(cfg, "p_sf", "0.05").attack.p_sf == 0.05
-    assert apply_sweep(cfg, "p_df", "0.05").attack.p_df == 0.05
+def test_scenario_rejects_unknown_sweep_key(tmp_path):
+    spec = parse_scenario_text("seeds = 1\nsweep_key = bogus\nsweep_values = 1\n",
+                               default_output=str(tmp_path / "sw"))
     with pytest.raises(ConfigError):
-        apply_sweep(cfg, "malicious_fraction", "1.5")  # out of [0,1]
+        run_sweep(spec)
+    assert not (tmp_path / "sw").exists()  # raised before any simulation
+
+
+def test_run_sweep_nested_key_and_bad_value(tmp_path):
+    spec = ScenarioSpec(config_path=None, seeds=(1,), sweep_key="p_sf",
+                        sweep_values=("0.05", "0.2"), output_dir=str(tmp_path / "sw"))
+    run_sweep(spec, base=SimConfig(node_count=10, rounds=3))
+    for value in ("0.05", "0.2"):
+        manifest = (tmp_path / "sw" / f"run_{value}_1" / "manifest.txt").read_text()
+        assert f"\np_sf = {value}\n" in manifest
+    bad = replace(spec, sweep_values=("0.05", "1.5"), output_dir=str(tmp_path / "bad"))
+    with pytest.raises(ConfigError):  # 1.5 is out of [0,1]
+        run_sweep(bad, base=SimConfig(node_count=10, rounds=3))
+    assert not (tmp_path / "bad").exists()
 
 
 def test_run_sweep_layout(tmp_path):
@@ -144,6 +156,17 @@ def test_run_sweep_layout(tmp_path):
             d = tmp_path / "sw" / f"run_{value}_{seed}"
             assert (d / "rounds.csv").exists()
             assert (d / "manifest.txt").exists()
+
+
+def test_sweep_summary_pads_shorter_runs(tmp_path):
+    spec = ScenarioSpec(config_path=None, seeds=(1,), sweep_key="rounds",
+                        sweep_values=("50", "150"), output_dir=str(tmp_path))
+    run_sweep(spec, base=SimConfig(node_count=5))
+    header, short, long = (tmp_path / "summary.csv").read_text().splitlines()
+    assert header.endswith(",cycle_malicious_avg_03")
+    assert [len(line.split(",")) for line in (header, short, long)] == [16] * 3
+    own = (tmp_path / "run_50_1" / "summary.csv").read_text().splitlines()[1]
+    assert short == own + ",,"
 
 
 # -------------------------------------------------------------------- CLI
@@ -185,9 +208,21 @@ def test_cli_sweep_smoke(tmp_path):
     assert (out / "summary.csv").exists()
 
 
-def test_cli_selftest(capsys):
-    rc = main(["selftest"])
-    captured = capsys.readouterr().out
-    assert rc == 0
-    assert "all selftests passed" in captured
-    assert "FAIL" not in captured
+def test_cli_sweep_any_config_key(tmp_path, capsys):
+    cfg_file = tmp_path / "tiny.cfg"
+    cfg_file.write_text("node_count = 8\nrounds = 3\n")
+
+    def sweep(lines, out):
+        spec_file = tmp_path / "sweep.spec"
+        spec_file.write_text(f"config = {cfg_file}\nseeds = 1,2\n{lines}")
+        return main(["sweep", str(spec_file), "--out", str(out)])
+
+    assert sweep("sweep_key = n_nch\nsweep_values = 1,3\n", tmp_path / "ok") == 0
+    rows = (tmp_path / "ok" / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [
+        ["1", "n_nch", "1"], ["2", "n_nch", "1"], ["1", "n_nch", "3"], ["2", "n_nch", "3"]]
+    for bad in ("sweep_key = bogus\nsweep_values = 1\n",
+                "sweep_key = n_nch\nsweep_values = 2,0\n"):  # n_nch must be >= 1
+        assert sweep(bad, tmp_path / "bad") == 2
+        assert not (tmp_path / "bad").exists()
+    assert "configuration error" in capsys.readouterr().err

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from scfto.config import OutlierParams
-from scfto.outlier import (ConvergenceTracker, detect_threshold,
-                           neighbor_counts, update_convergence)
+from scfto.outlier import ConvergenceTracker, detect_threshold, neighbor_counts
 
 PARAMS = OutlierParams(t_nbr=0.1)  # wide radius for hand-traced fixtures
 
@@ -17,9 +16,18 @@ def test_neighbor_counts_excludes_self():
 
 
 def test_neighbor_counts_strict_radius():
-    # distance exactly t_nbr does not count as a neighbor
-    assert neighbor_counts([0.5, 0.6], 0.1) == [0, 0]
+    # distance exactly t_nbr does not count as a neighbor (0.25 and 0.75
+    # are exact in binary); 0.6 - 0.5 rounds to just below 0.1
+    assert neighbor_counts([0.5, 0.75], 0.25) == [0, 0]
+    assert neighbor_counts([0.5, 0.6], 0.1) == [1, 1]
     assert neighbor_counts([0.5, 0.599], 0.1) == [1, 1]
+
+
+def test_neighbor_counts_use_the_difference():
+    # 0.08 - 0.07 = 0.009999999999999995 < 0.01, so each is the other's
+    # neighbor and the pair forms one cluster
+    assert neighbor_counts([0.07, 0.08], 0.01) == [1, 1]
+    assert detect_threshold([0.07, 0.08], OutlierParams()) == 0.07
 
 
 def test_neighbor_counts_cluster():
@@ -132,8 +140,3 @@ def test_convergence_ignores_none():
     tr.update(0.91)
     tr.update(0.92)
     assert tr.converged
-
-
-def test_update_convergence_returns_tracker():
-    tr = ConvergenceTracker(th_d=0.05, n_s=3)
-    assert update_convergence(tr, 0.5) is tr

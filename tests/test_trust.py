@@ -49,11 +49,11 @@ def test_table_rejects_self_entry():
 def test_table_entry_is_lazy_and_unknown():
     t = TrustTable(owner=0)
     ent = t.entry(3)
-    assert not ent.known
-    assert t.get(3) is ent
-    assert t.get(4) is None
+    assert ent.value is None
+    assert t.entries == {3: ent}
+    assert t.value_of(3) is None
+    assert t.value_of(4) is None
     assert t.known_values() == []
-    assert t.known_items() == []
 
 
 def test_known_values_and_items():
@@ -61,8 +61,9 @@ def test_known_values_and_items():
     t.entry(1).value = 0.5
     t.entry(2)  # stays Unknown
     t.entry(3).value = 0.9
-    assert sorted(t.known_values()) == [0.5, 0.9]
-    assert sorted(t.known_items()) == [(1, 0.5), (3, 0.9)]
+    t.entry(4).value = 0.0  # Known, and distinct from Unknown
+    assert sorted(t.known_values()) == [0.0, 0.5, 0.9]
+    assert [t.value_of(k) for k in (1, 2, 3, 4)] == [0.5, None, 0.9, 0.0]
 
 
 def test_record_event_accumulates():
@@ -80,10 +81,9 @@ def test_update_direct_trust_perfect_forwarder():
     engine = FuzzyTrustEngine()
     for _ in range(10):
         record_event(t, 2, Outcome.FORWARDED)
-    v = update_direct_trust(t, engine, head=2, round_idx=17)
+    v = update_direct_trust(t, engine, head=2)
     assert v == 1.0
     assert t.entry(2).value == 1.0
-    assert t.entry(2).last_update_round == 17
 
 
 def test_update_direct_trust_dropper_is_zero():
@@ -91,7 +91,7 @@ def test_update_direct_trust_dropper_is_zero():
     engine = FuzzyTrustEngine()
     for _ in range(10):
         record_event(t, 2, Outcome.DROPPED)
-    assert update_direct_trust(t, engine, head=2, round_idx=0) == 0.0
+    assert update_direct_trust(t, engine, head=2) == 0.0
 
 
 # --------------------------------------------------------------- merging
@@ -101,39 +101,34 @@ def test_merge_known_branch_weighted_average():
     # (0.6 + 0.5*0.9) / (1 + 0.5) = 0.7
     t = TrustTable(owner=0)
     t.entry(9).value = 0.6
-    assert merge_recommendation(t, 9, t_head=0.5, t_recommended=0.9,
-                                round_idx=3)
+    assert merge_recommendation(t, 9, t_head=0.5, t_recommended=0.9)
     assert t.entry(9).value == pytest.approx(0.7)
-    assert t.entry(9).last_update_round == 3
 
 
 def test_merge_unknown_branch_product():
     t = TrustTable(owner=0)
-    assert merge_recommendation(t, 9, t_head=0.8, t_recommended=0.5,
-                                round_idx=1)
+    assert merge_recommendation(t, 9, t_head=0.8, t_recommended=0.5)
     assert t.entry(9).value == pytest.approx(0.4)
 
 
 def test_merge_zero_prior_uses_product_branch():
     t = TrustTable(owner=0)
     t.entry(9).value = 0.0
-    merge_recommendation(t, 9, t_head=0.8, t_recommended=0.5, round_idx=1)
+    merge_recommendation(t, 9, t_head=0.8, t_recommended=0.5)
     assert t.entry(9).value == pytest.approx(0.4)
 
 
 def test_merge_skipped_for_unknown_or_distrusted_head():
     t = TrustTable(owner=0)
-    assert not merge_recommendation(t, 9, t_head=None, t_recommended=0.9,
-                                    round_idx=0)
-    assert not merge_recommendation(t, 9, t_head=0.0, t_recommended=0.9,
-                                    round_idx=0)
-    assert t.get(9) is None
+    assert not merge_recommendation(t, 9, t_head=None, t_recommended=0.9)
+    assert not merge_recommendation(t, 9, t_head=0.0, t_recommended=0.9)
+    assert 9 not in t.entries
 
 
 def test_merge_rejects_out_of_range_recommendation():
     t = TrustTable(owner=0)
     with pytest.raises(ValueError):
-        merge_recommendation(t, 9, t_head=0.5, t_recommended=1.5, round_idx=0)
+        merge_recommendation(t, 9, t_head=0.5, t_recommended=1.5)
 
 
 def test_merge_fixed_point_when_opinions_agree():
@@ -142,7 +137,7 @@ def test_merge_fixed_point_when_opinions_agree():
     t = TrustTable(owner=0)
     for v in (0.25, 0.5, 1.0):
         t.entry(9).value = v
-        merge_recommendation(t, 9, t_head=0.7, t_recommended=v, round_idx=0)
+        merge_recommendation(t, 9, t_head=0.7, t_recommended=v)
         assert t.entry(9).value == pytest.approx(v)
 
 
@@ -154,8 +149,7 @@ def test_merge_stays_in_unit_interval():
                 t.entries.pop(9, None)
                 if prior is not None:
                     t.entry(9).value = prior
-                merge_recommendation(t, 9, t_head=t_head, t_recommended=rec,
-                                     round_idx=0)
+                merge_recommendation(t, 9, t_head=t_head, t_recommended=rec)
                 assert 0.0 <= t.entry(9).value <= 1.0
 
 
@@ -164,6 +158,6 @@ def test_merge_pulls_toward_recommendation():
     # they differ and the prior is positive.
     t = TrustTable(owner=0)
     t.entry(9).value = 0.9
-    merge_recommendation(t, 9, t_head=1.0, t_recommended=0.1, round_idx=0)
+    merge_recommendation(t, 9, t_head=1.0, t_recommended=0.1)
     assert 0.1 < t.entry(9).value < 0.9
     assert t.entry(9).value == pytest.approx(0.5)
