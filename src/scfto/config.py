@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
+
+from . import __version__
 
 TIERS = (1, 2, 3)  # generic / advanced / super
 
@@ -283,6 +286,19 @@ class SimConfig:
 # flat key-value config files
 # ---------------------------------------------------------------------------
 
+def read_key_values(text: str):
+    """Yield (key, value) from `key = value` lines: `#` starts a comment,
+    blank lines are skipped and keys are lower-cased."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        yield key.strip().lower(), value.strip()
+
+
 def _parse_tuple3(s: str) -> tuple:
     parts = [float(p) for p in s.split(",")]
     if len(parts) != 3:
@@ -299,145 +315,96 @@ def _parse_breakpoints(s: str) -> tuple:
 
 
 def _parse_channel_force(s: str):
-    s = s.strip().lower()
-    if s in ("", "none"):
-        return None
-    return s
+    s = s.lower()
+    return None if s in ("", "none") else s
 
 
-# key -> (path into SimConfig, parser).  Paths are dotted attribute names;
-# special keys are handled in load_config.
-_SCALAR_KEYS = {
-    "field_width_m": ("field_width_m", float),
-    "field_height_m": ("field_height_m", float),
-    "node_count": ("node_count", int),
-    "malicious_fraction": ("malicious_fraction", float),
-    "data_packet_bits": ("data_packet_bits", int),
-    "control_packet_bits": ("control_packet_bits", int),
-    "e_0": ("initial_energy_j", float),
-    "rounds": ("rounds", int),
-    "cycle_len_rounds": ("cycle_len_rounds", int),
-    "seed": ("seed", int),
-    "force_channel": ("force_channel", _parse_channel_force),
-    "e_elec": ("radio.e_elec", float),
-    "eps_fs": ("radio.eps_fs", float),
-    "eps_amp": ("radio.eps_amp", float),
-    "e_da": ("radio.e_da", float),
-    "e_h": ("radio.e_h", float),
-    "e_m": ("radio.e_m", float),
-    "d_m_s": ("radio.d_m_s", float),
-    "alpha_0": ("channel.alpha_0", float),
-    "alpha_1": ("channel.alpha_1", float),
-    "p_cd": ("effects.p_cd", float),
-    "p_no": ("effects.p_no", float),
-    "p_sf": ("attack.p_sf", float),
-    "p_df": ("attack.p_df", float),
-    "p_0": ("election.p0_init", float),
-    "p_ct": ("election.p_ct", float),
-    "p_t": ("election.p_t", float),
-    "p_mt": ("election.p_mt", float),
-    "p_dt": ("election.p_dt", float),
-    "eta": ("election.eta", float),
-    "n_lch": ("election.n_lch", int),
-    "n_nch": ("join.n_nch", int),
-    "t_nbr": ("outlier.t_nbr", float),
-    "core_fraction": ("outlier.core_fraction", float),
-    "th_d": ("outlier.th_d", float),
-    "n_s": ("outlier.n_s", int),
-    "dfr_bypass": ("trust_flc.dfr_bypass", float),
+# value kinds: (parser, renderer)
+_FLOAT = (float, repr)
+_INT = (int, repr)
+_TUPLE3 = (_parse_tuple3, lambda t: ",".join(repr(v) for v in t))
+_BREAKPOINTS = (_parse_breakpoints, lambda pts: ",".join(f"{x!r}:{g!r}" for x, g in pts))
+_CHANNEL = (_parse_channel_force, lambda v: v or "none")
+
+
+def _keys(prefix: str, kind: tuple, *names: str) -> list:
+    # keys named like their field
+    return [(name, prefix + name, kind) for name in names]
+
+
+# file key -> (path into SimConfig, parser, renderer), in manifest order.  A
+# path step is an attribute name, a dict key or a tuple index.
+KEY_TABLE = {
+    key: (tuple(int(s) if s.isdigit() else s for s in path.split(".")), *kind)
+    for key, path, kind in [
+        *_keys("", _FLOAT, "field_width_m", "field_height_m"),
+        ("bs_x", "bs_position.0", _FLOAT),
+        ("bs_y", "bs_position.1", _FLOAT),
+        ("node_count", "node_count", _INT),
+        ("malicious_fraction", "malicious_fraction", _FLOAT),
+        ("tier_mix", "tier_mix", _TUPLE3),
+        *_keys("", _INT, "data_packet_bits", "control_packet_bits"),
+        ("e_0", "initial_energy_j", _FLOAT),
+        *_keys("", _INT, "rounds", "cycle_len_rounds", "seed"),
+        ("force_channel", "force_channel", _CHANNEL),
+        *_keys("radio.", _FLOAT, "e_elec", "eps_fs", "eps_amp", "e_da", "e_h", "e_m",
+               "d_m_s"),
+        *_keys("channel.", _FLOAT, "alpha_0", "alpha_1"),
+        *_keys("effects.", _FLOAT, "p_cd", "p_no"),
+        *_keys("attack.", _FLOAT, "p_sf", "p_df"),
+        ("p_0", "election.p0_init", _FLOAT),
+        *_keys("election.", _FLOAT, "p_ct", "p_t", "p_mt", "p_dt", "eta"),
+        ("n_lch", "election.n_lch", _INT),
+        ("n_nch", "join.n_nch", _INT),
+        *_keys("outlier.", _FLOAT, "t_nbr", "core_fraction", "th_d"),
+        ("n_s", "outlier.n_s", _INT),
+        ("dfr_bypass", "trust_flc.dfr_bypass", _FLOAT),
+        *[(f"flc_{var}_{label}_{kind}", f"trust_flc.{var}_sets.{label}.{kind}",
+           _BREAKPOINTS)
+          for var in ("dfd", "dfr") for label in ("low", "medium", "high")
+          for kind in ("umf", "lmf")],
+        *[(f"flc_trust_{label}", f"trust_flc.trust_sets.{label}", _TUPLE3)
+          for label in TRUST_LABELS],
+    ]
 }
 
 
-def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
-    """Parse `key = value` lines into a SimConfig; unknown keys are errors."""
-    cfg = base if base is not None else SimConfig()
-    # accumulate per-record overrides, then rebuild the frozen dataclasses
-    top: dict = {}
-    sub: dict = {name: {} for name in
-                 ("radio", "channel", "effects", "attack", "election",
-                  "join", "outlier", "trust_flc")}
-    flc_antecedents = {"dfd": {}, "dfr": {}}
-    flc_trust: dict = {}
-    bs = list(cfg.bs_position)
+def _get(obj, step):
+    return obj[step] if isinstance(obj, (dict, tuple)) else getattr(obj, step)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+
+def _set_path(obj, path: tuple, value):
+    """Copy of `obj` with the value at `path` replaced."""
+    step = path[0]
+    if len(path) > 1:
+        value = _set_path(_get(obj, step), path[1:], value)
+    if isinstance(obj, dict):
+        return {**obj, step: value}
+    if isinstance(obj, tuple):
+        return obj[:step] + (value,) + obj[step + 1:]
+    return replace(obj, **{step: value})
+
+
+def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
+    """Parse `key = value` lines into a SimConfig; unknown keys are errors.
+
+    A run manifest's `code_version` line is accepted when it names this
+    version of the simulator, so a manifest replays its run."""
+    cfg = base if base is not None else SimConfig()
+    for key, value in read_key_values(text):
+        if key == "code_version":
+            if value != __version__:
+                raise ConfigError(key, f"written by scfto {value}, this is {__version__}")
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
+        if key not in KEY_TABLE:
+            raise ConfigError(key, "unknown configuration key")
+        path, parse, _ = KEY_TABLE[key]
         try:
-            if key in _SCALAR_KEYS:
-                path, parser = _SCALAR_KEYS[key]
-                parsed = parser(value)
-                if "." in path:
-                    record, fname = path.split(".")
-                    sub[record][fname] = parsed
-                else:
-                    top[path] = parsed
-            elif key == "tier_mix":
-                top["tier_mix"] = _parse_tuple3(value)
-            elif key == "bs_x":
-                bs[0] = float(value)
-            elif key == "bs_y":
-                bs[1] = float(value)
-            elif key.startswith("flc_"):
-                _parse_flc_key(key, value, flc_antecedents, flc_trust)
-            else:
-                raise ConfigError(key, "unknown configuration key")
-        except ConfigError:
-            raise
+            cfg = _set_path(cfg, path, parse(value))
         except ValueError as exc:
             raise ConfigError(key, f"bad value {value!r} ({exc})") from exc
-
-    records = {}
-    for name, overrides in sub.items():
-        if name == "trust_flc":
-            continue
-        if overrides:
-            records[name] = replace(getattr(cfg, name), **overrides)
-    flc = cfg.trust_flc
-    if flc_antecedents["dfd"] or flc_antecedents["dfr"] or flc_trust or sub["trust_flc"]:
-        dfd = _merge_antecedents(flc.dfd_sets, flc_antecedents["dfd"])
-        dfr = _merge_antecedents(flc.dfr_sets, flc_antecedents["dfr"])
-        trust = dict(flc.trust_sets)
-        trust.update(flc_trust)
-        records["trust_flc"] = FLCConfig(
-            dfd_sets=dfd, dfr_sets=dfr, trust_sets=trust,
-            dfr_bypass=sub["trust_flc"].get("dfr_bypass", flc.dfr_bypass))
-    new = replace(cfg, bs_position=tuple(bs), **top, **records)
-    new.validate()
-    return new
-
-
-def _parse_flc_key(key: str, value: str, antecedents: dict, trust: dict) -> None:
-    # flc_dfd_low_umf = 0:1, 0.2:1, 0.5:0   or   flc_trust_medium_trust = a,c,b
-    parts = key.split("_")
-    if parts[1] in ("dfd", "dfr"):
-        if len(parts) != 4 or parts[2] not in ("low", "medium", "high") \
-                or parts[3] not in ("umf", "lmf"):
-            raise ConfigError(key, "unknown configuration key")
-        antecedents[parts[1]].setdefault(parts[2], {})[parts[3]] = _parse_breakpoints(value)
-    elif parts[1] == "trust":
-        label = "_".join(parts[2:])
-        if label not in TRUST_LABELS:
-            raise ConfigError(key, f"unknown trust label {label!r}")
-        a, c, b = _parse_tuple3(value)
-        trust[label] = (a, c, b)
-    else:
-        raise ConfigError(key, "unknown configuration key")
-
-
-def _merge_antecedents(base: dict, overrides: dict) -> dict:
-    merged = {}
-    for label in ("low", "medium", "high"):
-        entry = dict(base[label])
-        entry.update(overrides.get(label, {}))
-        merged[label] = entry
-    return merged
+    cfg.validate()
+    return cfg
 
 
 def load_config(path: str, base: SimConfig | None = None) -> SimConfig:
@@ -446,35 +413,6 @@ def load_config(path: str, base: SimConfig | None = None) -> SimConfig:
 
 
 def dump_config(cfg: SimConfig) -> str:
-    """Render a config as parseable `key = value` lines (manifest echo)."""
-    lines = [
-        f"field_width_m = {cfg.field_width_m!r}",
-        f"field_height_m = {cfg.field_height_m!r}",
-        f"bs_x = {cfg.bs_position[0]!r}",
-        f"bs_y = {cfg.bs_position[1]!r}",
-        f"node_count = {cfg.node_count}",
-        f"malicious_fraction = {cfg.malicious_fraction!r}",
-        "tier_mix = " + ",".join(repr(r) for r in cfg.tier_mix),
-        f"data_packet_bits = {cfg.data_packet_bits}",
-        f"control_packet_bits = {cfg.control_packet_bits}",
-        f"e_0 = {cfg.initial_energy_j!r}",
-        f"rounds = {cfg.rounds}",
-        f"cycle_len_rounds = {cfg.cycle_len_rounds}",
-        f"seed = {cfg.seed}",
-        f"force_channel = {cfg.force_channel or 'none'}",
-    ]
-    for key, (path, _) in _SCALAR_KEYS.items():
-        if "." not in path:
-            continue
-        record, fname = path.split(".")
-        lines.append(f"{key} = {getattr(getattr(cfg, record), fname)!r}")
-    for var, sets in (("dfd", cfg.trust_flc.dfd_sets), ("dfr", cfg.trust_flc.dfr_sets)):
-        for label in ("low", "medium", "high"):
-            for kind in ("umf", "lmf"):
-                pts = sets[label][kind]
-                rendered = ",".join(f"{x!r}:{g!r}" for x, g in pts)
-                lines.append(f"flc_{var}_{label}_{kind} = {rendered}")
-    for label in TRUST_LABELS:
-        a, c, b = cfg.trust_flc.trust_sets[label]
-        lines.append(f"flc_trust_{label} = {a!r},{c!r},{b!r}")
-    return "\n".join(lines) + "\n"
+    """Render every key as parseable `key = value` lines (manifest echo)."""
+    return "".join(f"{key} = {render(reduce(_get, path, cfg))}\n"
+                   for key, (path, _, render) in KEY_TABLE.items())

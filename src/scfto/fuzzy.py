@@ -165,70 +165,41 @@ def build_endpoint_list(entries: list) -> WeightedEndpointList:
     return WeightedEndpointList(left=left, right=right)
 
 
-def eiasc_left(points: list) -> float:
-    """Minimizing endpoint of the center-of-sets reduction (upper grades
-    before the switch point, lower grades after).
+def eiasc(points: list, before: int, pick) -> float:
+    """One endpoint of the center-of-sets reduction: grade `before` (1 for
+    lower, 2 for upper) weights the points before the switch point, the
+    other grade those after, and `pick` (min or max) keeps the extreme
+    quotient.
 
     The classic early-termination stop assumes every entry's upper grade
     is at least its lower grade.  Independent normalization of the two
     grade lists can invert individual intervals, so the sweep visits every
-    switch point incrementally and keeps the minimum (ties break toward
-    the smaller switch point).
+    switch point incrementally (ties break toward the smaller one).
     """
-    n = len(points)
-    if n == 1:
+    after = 3 - before
+    if len(points) == 1:
         x, lo, hi = points[0]
         if lo + hi <= 0.0:
             raise NoEvidenceError("all grades are zero")
         return x
-    a = sum(x * lo for x, lo, _ in points)
-    b = sum(lo for _, lo, _ in points)
-    best = None
-    for m in range(1, n):
-        x, lo, hi = points[m - 1]
-        a += x * (hi - lo)
-        b += hi - lo
+    a = sum(p[0] * p[after] for p in points)
+    b = sum(p[after] for p in points)
+    quotients = []
+    for p in points[:-1]:
+        a += p[0] * (p[before] - p[after])
+        b += p[before] - p[after]
         if b > 0.0:
-            y = a / b
-            if best is None or y < best:
-                best = y
-    if best is None:
+            quotients.append(a / b)
+    if not quotients:
         raise NoEvidenceError("all grades are zero")
-    return best
-
-
-def eiasc_right(points: list) -> float:
-    """Maximizing endpoint of the center-of-sets reduction (lower grades
-    before the switch point, upper grades after).  Full incremental sweep
-    for the same reason as eiasc_left; ties break toward the smaller
-    switch point."""
-    n = len(points)
-    if n == 1:
-        x, lo, hi = points[0]
-        if lo + hi <= 0.0:
-            raise NoEvidenceError("all grades are zero")
-        return x
-    a = sum(x * hi for x, _, hi in points)
-    b = sum(hi for _, _, hi in points)
-    best = None
-    for m in range(1, n):
-        x, lo, hi = points[m - 1]
-        a += x * (lo - hi)
-        b += lo - hi
-        if b > 0.0:
-            y = a / b
-            if best is None or y > best:
-                best = y
-    if best is None:
-        raise NoEvidenceError("all grades are zero")
-    return best
+    return pick(quotients)
 
 
 def type_reduce(endpoints: WeightedEndpointList) -> tuple:
-    """Reduce the weighted endpoint lists to the trust interval [T_L, T_R]."""
-    t_l = eiasc_left(endpoints.left)
-    t_r = eiasc_right(endpoints.right)
-    return t_l, t_r
+    """Reduce the weighted endpoint lists to the trust interval [T_L, T_R]:
+    the minimizing left end puts upper grades before the switch point, the
+    maximizing right end lower grades."""
+    return eiasc(endpoints.left, 2, min), eiasc(endpoints.right, 1, max)
 
 
 def reference_type_reduce(endpoints: WeightedEndpointList) -> tuple:

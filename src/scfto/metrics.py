@@ -11,7 +11,8 @@ import os
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .config import ConfigError, SimConfig, load_config, parse_config_text
+from .config import (ConfigError, SimConfig, dump_config, load_config, parse_config_text,
+                     read_key_values)
 from .network import init_network
 from .protocol import RoundReport, run_round
 
@@ -157,7 +158,6 @@ def run_to_files(config: SimConfig, out_dir: str, *, sweep_key: str = "",
 
 
 def write_manifest(config: SimConfig, path: str) -> None:
-    from .config import dump_config
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# scfto {__version__} run manifest\n")
         fh.write(f"code_version = {__version__}\n")
@@ -194,14 +194,7 @@ def parse_scenario_text(text: str, default_output: str = "out") -> ScenarioSpec:
     sweep_key = None
     sweep_values: tuple = ()
     output_dir = default_output
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip().lower(), value.strip()
+    for key, value in read_key_values(text):
         if key == "config":
             config_path = value
         elif key == "seeds":
@@ -209,7 +202,7 @@ def parse_scenario_text(text: str, default_output: str = "out") -> ScenarioSpec:
         elif key == "sweep_key":
             sweep_key = value
         elif key == "sweep_values":
-            sweep_values = tuple(value.split(","))
+            sweep_values = tuple(v.strip() for v in value.split(","))
         elif key == "output":
             output_dir = value
         else:

@@ -128,8 +128,7 @@ def should_elect(node: NodeState, round_idx: int, rng: random.Random,
     return rng.random() < threshold
 
 
-def choose_head(node: NodeState, heads: list, state: SimState,
-                round_idx: int, eligible: bool):
+def choose_head(node: NodeState, heads: list, state: SimState, eligible: bool):
     """Pick a head among the nearest candidates.
 
     `heads` is a list of head ids.  Pre-convergence the node explores
@@ -262,7 +261,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
     for node in alive:
         if node.id in head_set or not node.alive:
             continue
-        choice = choose_head(node, live_heads, state, round_idx,
+        choice = choose_head(node, live_heads, state,
                              eligible=rotation_eligible(node, config))
         if choice is None:
             continue

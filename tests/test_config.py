@@ -1,13 +1,18 @@
 """Configuration records, validation, and the flat key-value file format."""
-import math
-
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scfto.config import (
+    KEY_TABLE,
+    TRUST_LABELS,
     AttackParams,
+    ChannelEffects,
     ChannelParams,
     ConfigError,
     ElectionParams,
+    FLCConfig,
+    JoinParams,
+    OutlierParams,
     RadioParams,
     SimConfig,
     dump_config,
@@ -101,8 +106,9 @@ def test_parse_rejects_bad_value():
 
 
 def test_parse_rejects_missing_equals():
-    with pytest.raises(ConfigError):
-        parse_config_text("just some words\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("# header\nnode_count = 9\n\njust some words\n")
+    assert err.value.field == "line 4"
 
 
 def test_parse_membership_override():
@@ -119,6 +125,91 @@ def test_dump_config_round_trips():
     cfg = parse_config_text("node_count = 17\np_df = 0.08\nbs_x = 120.0\n")
     again = parse_config_text(dump_config(cfg))
     assert again == cfg
+
+
+def unit(**kw):
+    return st.floats(min_value=0.0, max_value=1.0, **kw)
+
+
+def positive():
+    return st.floats(min_value=0.0, max_value=1e3, exclude_min=True)
+
+
+def counts():
+    return st.integers(min_value=1, max_value=10_000)
+
+
+def increasing(n, elements):
+    return st.lists(elements, min_size=n, max_size=n, unique=True).map(sorted)
+
+
+@st.composite
+def sim_configs(draw):
+    mix_a = draw(unit())
+    mix_b = draw(st.floats(min_value=0.0, max_value=1.0 - mix_a))
+    p_sf = draw(st.floats(min_value=0.0, max_value=1 / 3))
+    open_unit = unit(exclude_min=True, exclude_max=True)
+    p_ct, p_t, p_mt, p_dt = draw(increasing(4, open_unit))
+
+    def breakpoints():
+        xs = draw(increasing(draw(st.integers(1, 4)), unit()))
+        return tuple((x, draw(unit())) for x in xs)
+
+    def antecedents():
+        return {label: {"umf": breakpoints(), "lmf": breakpoints()}
+                for label in ("low", "medium", "high")}
+
+    return SimConfig(
+        field_width_m=draw(positive()), field_height_m=draw(positive()),
+        bs_position=(draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))),
+        node_count=draw(counts()), malicious_fraction=draw(unit()),
+        tier_mix=(mix_a, mix_b, 1.0 - mix_a - mix_b),
+        data_packet_bits=draw(counts()), control_packet_bits=draw(counts()),
+        initial_energy_j=draw(positive()),
+        radio=RadioParams(*(draw(positive()) for _ in range(7))),
+        channel=ChannelParams(draw(positive()), draw(positive())),
+        effects=ChannelEffects(draw(unit()), draw(unit())),
+        attack=AttackParams(p_sf, draw(st.floats(min_value=0.0, max_value=1 / 3 - p_sf))),
+        election=ElectionParams(draw(open_unit), p_ct, p_t, p_mt, p_dt, draw(unit()),
+                                draw(counts())),
+        join=JoinParams(draw(counts())),
+        outlier=OutlierParams(draw(positive()), draw(open_unit), draw(positive()),
+                              draw(counts())),
+        trust_flc=FLCConfig(
+            dfd_sets=antecedents(), dfr_sets=antecedents(),
+            trust_sets={label: tuple(draw(st.lists(unit(), min_size=3, max_size=3).map(sorted)))
+                        for label in TRUST_LABELS},
+            dfr_bypass=draw(unit())),
+        rounds=draw(counts()), cycle_len_rounds=draw(counts()),
+        seed=draw(st.integers(min_value=0, max_value=2**63)),
+        force_channel=draw(st.sampled_from([None, "good", "bad"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sim_configs())
+def test_dump_parse_round_trip_every_key(cfg):
+    cfg.validate()
+    text = dump_config(cfg)
+    keys = [line.split(" = ", 1)[0] for line in text.splitlines()]
+    assert keys == list(KEY_TABLE)  # every key once, in table order
+    assert parse_config_text(text) == cfg
+
+
+def test_round_trip_strategy_moves_every_key():
+    # each table key renders differently from the default in some example
+    default = dict(line.split(" = ", 1) for line in dump_config(SimConfig()).splitlines())
+    moved = set()
+
+    @settings(max_examples=50, deadline=None)
+    @given(sim_configs())
+    def collect(cfg):
+        for line in dump_config(cfg).splitlines():
+            key, value = line.split(" = ", 1)
+            if value != default[key]:
+                moved.add(key)
+
+    collect()
+    assert moved == set(KEY_TABLE)
 
 
 def test_base_station_position_keys():

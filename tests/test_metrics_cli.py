@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from scfto import __version__
 from scfto.cli import main
 from scfto.config import ConfigError, SimConfig
 from scfto.metrics import (MetricsAccumulator, ScenarioSpec, parse_scenario_text,
@@ -110,6 +111,17 @@ def test_parse_scenario_text():
     assert spec.output_dir == "results"
 
 
+
+def test_spaced_sweep_values_are_stripped(tmp_path):
+    spec = parse_scenario_text("seeds = 1\nsweep_key = malicious_fraction\n"
+                               "sweep_values = 0.1, 0.5\n",
+                               default_output=str(tmp_path / "sw"))
+    assert spec.sweep_values == ("0.1", "0.5")
+    run_sweep(spec, base=SimConfig(node_count=5, rounds=2))
+    assert (tmp_path / "sw" / "run_0.5_1" / "rounds.csv").exists()
+    rows = (tmp_path / "sw" / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["0.1", "0.5"]
+
 def test_scenario_requires_seeds():
     with pytest.raises(ConfigError):
         parse_scenario_text("sweep_key = rounds\nsweep_values = 5\n")
@@ -195,6 +207,24 @@ def test_cli_bad_config_is_error_code_2(tmp_path, capsys):
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
 
+
+
+def test_cli_run_replays_its_manifest(tmp_path, capsys):
+    cfg_file = tmp_path / "small.cfg"
+    cfg_file.write_text("node_count = 12\nrounds = 30\nseed = 4\n"
+                        "tier_mix = 0.5, 0.25, 0.25\nflc_trust_trust = 0.6,0.8,0.95\n")
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["run", "--config", str(cfg_file), "--out", str(first)]) == 0
+    manifest = first / "manifest.txt"
+    assert main(["run", "--config", str(manifest), "--out", str(again)]) == 0
+    for name in ("rounds.csv", "summary.csv", "manifest.txt"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    manifest.write_text(manifest.read_text().replace(
+        f"code_version = {__version__}\n", "code_version = 0.0.0\n"))
+    capsys.readouterr()
+    assert main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    assert "code_version" in capsys.readouterr().err
 
 def test_cli_sweep_smoke(tmp_path):
     cfg_file = tmp_path / "tiny.cfg"

@@ -116,7 +116,7 @@ def test_choose_head_preconvergence_unknown_first():
     ranked = heads_by_distance(state, node)[: state.config.join.n_nch]
     # give the nearest candidate a Known value; second-nearest stays Unknown
     node.trust.entry(ranked[0]).value = 1.0
-    assert choose_head(node, ranked, state, 0, eligible=True) == ranked[1]
+    assert choose_head(node, ranked, state, eligible=True) == ranked[1]
 
 
 def test_choose_head_preconvergence_best_known():
@@ -125,14 +125,14 @@ def test_choose_head_preconvergence_best_known():
     ranked = heads_by_distance(state, node)[: state.config.join.n_nch]
     for i, h in enumerate(ranked):
         node.trust.entry(h).value = 0.2 + 0.1 * i
-    assert choose_head(node, ranked, state, 0, eligible=True) == ranked[-1]
+    assert choose_head(node, ranked, state, eligible=True) == ranked[-1]
 
 
 def test_choose_head_no_candidates_self_declares_when_eligible():
     state = small_state()
     node = state.nodes[0]
-    assert choose_head(node, [], state, 0, eligible=True) == SELF_DECLARE
-    assert choose_head(node, [], state, 0, eligible=False) is None
+    assert choose_head(node, [], state, eligible=True) == SELF_DECLARE
+    assert choose_head(node, [], state, eligible=False) is None
 
 
 def test_choose_head_postconvergence_threshold():
@@ -144,7 +144,7 @@ def test_choose_head_postconvergence_threshold():
     node.trust.entry(ranked[0]).value = 0.5   # below threshold
     node.trust.entry(ranked[1]).value = 0.85  # first acceptable
     node.trust.entry(ranked[2]).value = 0.99
-    assert choose_head(node, ranked, state, 0, eligible=True) == ranked[1]
+    assert choose_head(node, ranked, state, eligible=True) == ranked[1]
 
 
 def test_choose_head_postconvergence_falls_back_to_unknown():
@@ -155,7 +155,7 @@ def test_choose_head_postconvergence_falls_back_to_unknown():
     ranked = heads_by_distance(state, node)[:2]
     node.trust.entry(ranked[0]).value = 0.5  # below threshold
     # ranked[1] Unknown -> explored
-    assert choose_head(node, ranked, state, 0, eligible=True) == ranked[1]
+    assert choose_head(node, ranked, state, eligible=True) == ranked[1]
 
 
 def test_choose_head_postconvergence_all_bad_self_declares():
@@ -166,8 +166,8 @@ def test_choose_head_postconvergence_all_bad_self_declares():
     ranked = heads_by_distance(state, node)[:2]
     for h in ranked:
         node.trust.entry(h).value = 0.1
-    assert choose_head(node, ranked, state, 0, eligible=True) == SELF_DECLARE
-    assert choose_head(node, ranked, state, 0, eligible=False) is None
+    assert choose_head(node, ranked, state, eligible=True) == SELF_DECLARE
+    assert choose_head(node, ranked, state, eligible=False) is None
 
 
 # -------------------------------------------------------------- head_action
