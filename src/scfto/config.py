@@ -54,10 +54,6 @@ class ChannelParams:
     def p_bad(self) -> float:
         return self.alpha_0 / (self.alpha_0 + self.alpha_1)
 
-    @property
-    def p_good(self) -> float:
-        return self.alpha_1 / (self.alpha_0 + self.alpha_1)
-
     def validate(self) -> None:
         if self.alpha_0 <= 0:
             raise ConfigError("alpha_0", "must be strictly positive")

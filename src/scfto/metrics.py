@@ -198,7 +198,10 @@ def parse_scenario_text(text: str, default_output: str = "out") -> ScenarioSpec:
         if key == "config":
             config_path = value
         elif key == "seeds":
-            seeds = tuple(int(s) for s in value.split(","))
+            try:
+                seeds = tuple(int(s) for s in value.split(","))
+            except ValueError as exc:
+                raise ConfigError(key, f"bad value {value!r} ({exc})") from exc
         elif key == "sweep_key":
             sweep_key = value
         elif key == "sweep_values":

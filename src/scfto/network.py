@@ -54,16 +54,10 @@ class SimState:
         self.total_debited_j = 0.0
         self.deaths: list = []  # (round, node id)
 
-    def node(self, node_id: int) -> NodeState:
-        try:
-            return self.nodes[node_id]
-        except IndexError:
-            raise KeyError(f"unknown node id {node_id}") from None
-
     def position(self, endpoint) -> tuple:
         if endpoint == BS:
             return self.config.bs_position
-        return self.node(endpoint).position
+        return self.nodes[endpoint].position
 
     def distance(self, a, b) -> float:
         ax, ay = self.position(a)

@@ -4,7 +4,6 @@ overhearing, and the trust/threshold updates that close the loop.
 """
 from __future__ import annotations
 
-import enum
 import math
 import random
 from dataclasses import dataclass, field
@@ -41,31 +40,6 @@ def recommendation_items(head) -> list:
             continue
         out.append((observed, ent.value))
     return out
-
-
-class ActionKind(enum.Enum):
-    FORWARD = "forward"
-    DROP = "drop"
-    DELAY = "delay"
-
-
-@dataclass(frozen=True)
-class HeadAction:
-    kind: ActionKind
-    delay_s: float = 0.0
-
-
-@dataclass
-class ClusterState:
-    head: int
-    members: list = field(default_factory=list)  # in slot order once scheduled
-    e_max: float = 0.0
-    e_min: float = 0.0
-
-    def schedule(self) -> None:
-        # member i of the ascending-id order sends in slot i: a deterministic
-        # bijection members -> 0..m-1
-        self.members.sort()
 
 
 @dataclass
@@ -132,60 +106,52 @@ def choose_head(node: NodeState, heads: list, state: SimState, eligible: bool):
     """Pick a head among the nearest candidates.
 
     `heads` is a list of head ids.  Pre-convergence the node explores
-    Unknown candidates first (nearest wins), then the best Known trust.
-    Post-convergence it wants the nearest candidate at or above its own
-    detected threshold, falls back to Unknown, and otherwise self-declares
-    when eligible or idles.  Returns a head id, SELF_DECLARE, or None.
+    Unknown candidates first (nearest wins), then the best Known trust
+    (nearest wins a tie).  Post-convergence it wants the nearest candidate
+    at or above its own detected threshold, falls back to Unknown, and
+    otherwise self-declares when eligible or idles.  Returns a head id,
+    SELF_DECLARE, or None.
     """
-    n_nch = state.config.join.n_nch
     ranked = sorted(heads, key=lambda h: (state.distance(node.id, h), h))
-    candidates = ranked[:n_nch]
-    trust_of = node.trust.value_of  # None while Unknown
-
-    if not node.tracker.converged:
-        for head_id in candidates:  # already nearest-first
-            if trust_of(head_id) is None:
+    # (trust or None while Unknown, head id), nearest first
+    trusts = [(node.trust.value_of(h), h) for h in ranked[:state.config.join.n_nch]]
+    converged = node.tracker.converged
+    if converged:
+        t_th = node.tracker.last_t_th
+        for t, head_id in trusts:
+            if t is not None and t >= t_th:
                 return head_id
-        known = [(trust_of(h), h) for h in candidates]
-        if known:
-            best = max(known, key=lambda item: (item[0],
-                                                -state.distance(node.id, item[1]),
-                                                -item[1]))
-            return best[1]
-        return SELF_DECLARE if eligible else None
-
-    t_th = node.tracker.last_t_th
-    for head_id in candidates:
-        t = trust_of(head_id)
-        if t is not None and t_th is not None and t >= t_th:
+    for t, head_id in trusts:
+        if t is None:
             return head_id
-    for head_id in candidates:
-        if trust_of(head_id) is None:
-            return head_id
+    if trusts and not converged:
+        return max(trusts, key=lambda item: item[0])[1]  # first maximum
     return SELF_DECLARE if eligible else None
 
 
-def head_action(head: NodeState, rng: random.Random, config: SimConfig) -> HeadAction:
-    """What the head does with one member packet.  Tier k drops with
-    probability k*p_sf and delays with unconditional probability k*p_df."""
+def head_action(head: NodeState, rng: random.Random, config: SimConfig) -> tuple:
+    """What the head does with one member packet, as (fate, delay_s):
+    (FORWARDED, 0.0), (DROPPED, 0.0) or (FORWARDED_DELAYED, d).  Tier k
+    drops with probability k*p_sf and delays with unconditional
+    probability k*p_df."""
     if not head.malicious:
-        return HeadAction(ActionKind.FORWARD)
+        return Outcome.FORWARDED, 0.0
     k = head.tier
     p_drop = k * config.attack.p_sf
     p_delay = k * config.attack.p_df
     if rng.random() < p_drop:
-        return HeadAction(ActionKind.DROP)
+        return Outcome.DROPPED, 0.0
     conditional = p_delay / (1.0 - p_drop) if p_drop < 1.0 else 0.0
     if rng.random() < conditional:
         # deliberate delay in (0, D_m]
-        d = config.radio.d_m_s * (1.0 - rng.random())
-        return HeadAction(ActionKind.DELAY, delay_s=d)
-    return HeadAction(ActionKind.FORWARD)
+        return Outcome.FORWARDED_DELAYED, config.radio.d_m_s * (1.0 - rng.random())
+    return Outcome.FORWARDED, 0.0
 
 
-def observe_forwarding(action: HeadAction, channel: ChannelState,
+def observe_forwarding(action: tuple, channel: ChannelState,
                        rng: random.Random, config: SimConfig) -> tuple:
-    """What the member's overhearing records for one packet.
+    """What the member's overhearing records for one packet, given the
+    head's (fate, delay_s) from `head_action`.
 
     Returns (outcome, listening duration, overheard flag).  Under a bad
     channel a genuinely forwarded packet is lost once and retransmitted at
@@ -193,12 +159,13 @@ def observe_forwarding(action: HeadAction, channel: ChannelState,
     probability p_no and otherwise captured as delayed with probability
     p_cd.  A dropped packet is a timeout at the full window.
     """
+    fate, delay_s = action
     d_m = config.radio.d_m_s
     p_no = config.effects.p_no
     p_cd = config.effects.p_cd
-    if action.kind is ActionKind.DROP:
+    if fate is Outcome.DROPPED:
         return Outcome.DROPPED, d_m, False
-    if action.kind is ActionKind.FORWARD:
+    if fate is Outcome.FORWARDED:
         if channel is ChannelState.GOOD:
             return Outcome.FORWARDED, 0.0, True
         if rng.random() < p_no:
@@ -209,7 +176,7 @@ def observe_forwarding(action: HeadAction, channel: ChannelState,
     # deliberate delay
     if channel is ChannelState.BAD and rng.random() < p_no:
         return Outcome.DROPPED, d_m, False
-    return Outcome.FORWARDED_DELAYED, action.delay_s, True
+    return Outcome.FORWARDED_DELAYED, delay_s, True
 
 
 def run_round(state: SimState, round_idx: int) -> RoundReport:
@@ -219,10 +186,8 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
     deaths_before = len(state.deaths)
 
     # (1) channel state, one draw shared by everyone this round
-    if config.force_channel == "good":
-        channel = ChannelState.GOOD
-    elif config.force_channel == "bad":
-        channel = ChannelState.BAD
+    if config.force_channel is not None:
+        channel = ChannelState(config.force_channel)
     else:
         channel = sample_channel_state(
             config.channel, state.streams.stream("channel", round_idx=round_idx))
@@ -234,28 +199,27 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         return report
 
     # (2) election: self-elected heads broadcast across the whole field
-    heads: list = []
-    for node in alive:
-        rng = state.streams.stream("elect", node.id, round_idx)
-        if should_elect(node, round_idx, rng, config):
-            heads.append(node.id)
+    heads = [node.id for node in alive
+             if should_elect(node, round_idx,
+                             state.streams.stream("elect", node.id, round_idx), config)]
     diag = config.field_diagonal_m
     ctrl = config.control_packet_bits
     broadcast_ok = set()
     for head_id in heads:
-        if state.debit(state.node(head_id), tx_energy(config.radio, ctrl, diag),
+        if state.debit(state.nodes[head_id], tx_energy(config.radio, ctrl, diag),
                        round_idx):
             broadcast_ok.add(head_id)
     for node in alive:
         heard = len(broadcast_ok) - (1 if node.id in broadcast_ok else 0)
         if heard > 0 and node.alive:
             state.debit(node, heard * rx_energy(config.radio, ctrl), round_idx)
-    live_heads = sorted(h for h in broadcast_ok if state.node(h).alive)
+    live_heads = sorted(h for h in broadcast_ok if state.nodes[h].alive)
 
     # (3) joining: non-heads pick a head and send a request with their
-    # residual energy; an unservable node may self-declare
-    clusters: dict = {h: ClusterState(head=h) for h in live_heads}
-    requester_energy: dict = {h: {} for h in live_heads}
+    # residual energy; an unservable node may self-declare.  Members join
+    # in ascending id order, which is their slot order: member i of a
+    # cluster sends in slot i.
+    clusters: dict = {h: [] for h in live_heads}  # head id -> member ids
     self_declared: list = []
     head_set = set(heads)
     for node in alive:
@@ -268,7 +232,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         if choice == SELF_DECLARE:
             self_declared.append(node.id)
             continue
-        head = state.node(choice)
+        head = state.nodes[choice]
         trust_at_selection = node.trust.value_of(choice) or 0.0  # Unknown counts 0
         state.debit(node, tx_energy(config.radio, ctrl,
                                     state.distance(node.id, choice)), round_idx)
@@ -278,23 +242,20 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
             state.debit(head, rx_energy(config.radio, ctrl), round_idx)
         if not head.alive:
             continue
-        clusters[choice].members.append(node.id)
-        requester_energy[choice][node.id] = node.energy_j
+        clusters[choice].append(node.id)
         node.push_head(choice, trust_at_selection, config.election.n_lch)
+    clusters = {h: members for h, members in clusters.items() if members}
 
-    # (4) slot schedules and acceptance messages with energy extremes and
-    # trust recommendations
-    for head_id, cluster in clusters.items():
-        if not cluster.members:
-            continue
-        cluster.schedule()
-        head = state.node(head_id)
-        energies = list(requester_energy[head_id].values())
-        cluster.e_max = max(energies)
-        cluster.e_min = min(energies)
+    # (4) acceptance messages with the residual-energy extremes of the
+    # join requests and trust recommendations.  Nothing debits a member
+    # between its request and this loop, so its energy is what it sent.
+    for head_id, members in clusters.items():
+        head = state.nodes[head_id]
+        energies = [state.nodes[m].energy_j for m in members]
+        e_max, e_min = max(energies), min(energies)
         recommendations = recommendation_items(head)
-        for member_id in cluster.members:
-            member = state.node(member_id)
+        for member_id in members:
+            member = state.nodes[member_id]
             if head.alive:
                 state.debit(head, tx_energy(config.radio, ctrl,
                                             state.distance(head_id, member_id)),
@@ -304,8 +265,8 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
             state.debit(member, rx_energy(config.radio, ctrl), round_idx)
             if not member.alive:
                 continue
-            member.e_max = cluster.e_max
-            member.e_min = cluster.e_min
+            member.e_max = e_max
+            member.e_min = e_min
             t_head = member.trust.value_of(head_id)
             for observed, t_rec in recommendations:
                 if observed == member_id:
@@ -314,13 +275,11 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
 
     # (5) data phase, member packets in slot order
     data_bits = config.data_packet_bits
-    for head_id, cluster in clusters.items():
-        if not cluster.members:
-            continue
-        head = state.node(head_id)
+    for head_id, members in clusters.items():
+        head = state.nodes[head_id]
         attack_rng = state.streams.stream("attack", head_id, round_idx)
-        for member_id in cluster.members:
-            member = state.node(member_id)
+        for member_id in members:
+            member = state.nodes[member_id]
             if not member.alive:
                 continue
             sent = state.debit(member, tx_energy(config.radio, data_bits,
@@ -333,11 +292,12 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                 state.debit(head, rx_energy(config.radio, data_bits), round_idx)
             if head.alive:
                 action = head_action(head, attack_rng, config)
-                if action.kind is ActionKind.DROP:
+                fate = action[0]
+                if fate is Outcome.DROPPED:
                     report.drop_attacks += 1
-                elif action.kind is ActionKind.DELAY:
-                    report.delay_attacks += 1
-                if action.kind is not ActionKind.DROP:
+                else:
+                    if fate is Outcome.FORWARDED_DELAYED:
+                        report.delay_attacks += 1
                     if state.debit(head, tx_energy(config.radio, data_bits,
                                                    state.distance(head_id, BS)),
                                    round_idx):
@@ -363,10 +323,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
 
     # (6) per-member trust inference, threshold detection, convergence, and
     # the next round's election probability
-    members_of: dict = {}
-    for head_id, cluster in clusters.items():
-        for member_id in cluster.members:
-            members_of[member_id] = head_id
+    members_of = {m: h for h, members in clusters.items() for m in members}
     for node in state.nodes:
         if not node.alive:
             continue
@@ -392,11 +349,8 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
             node.rounds_since_head += 1
 
     report.heads = sorted(became_head)
-    populated = [(h, tuple(c.members)) for h, c in sorted(clusters.items())
-                 if c.members]
-    report.clusters = populated
-    report.malicious_cluster_count = sum(1 for h, _ in populated
-                                         if state.node(h).malicious)
+    report.clusters = [(h, tuple(members)) for h, members in clusters.items()]
+    report.malicious_cluster_count = sum(state.nodes[h].malicious for h in clusters)
     report.energy_spent_j = state.total_debited_j - energy_before
     report.deaths = [node_id for r, node_id in state.deaths[deaths_before:]]
     report.alive_end = len(state.alive_nodes())

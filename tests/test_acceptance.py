@@ -20,8 +20,9 @@ from scfto.metrics import MetricsAccumulator, run_to_files, simulate
 from scfto.network import NodeState, init_network
 from scfto.outlier import detect_threshold
 from scfto.phy import ChannelState, sample_channel_state
-from scfto.protocol import ActionKind, head_action, run_round
+from scfto.protocol import head_action, run_round
 from scfto.rng import StreamFactory
+from scfto.trust import Outcome
 
 
 def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -194,9 +195,9 @@ def test_criterion_09_attack_rate_calibration():
         draws = 100_000
         drops = delays = 0
         for _ in range(draws):
-            kind = head_action(node, rng, config).kind
-            drops += kind is ActionKind.DROP
-            delays += kind is ActionKind.DELAY
+            fate, _ = head_action(node, rng, config)
+            drops += fate is Outcome.DROPPED
+            delays += fate is Outcome.FORWARDED_DELAYED
         worst = max(worst,
                     abs(drops / draws - tier * config.attack.p_sf),
                     abs(delays / draws - tier * config.attack.p_df))

@@ -32,7 +32,6 @@ def test_crossover_distance_from_default_radio():
 def test_channel_stationary_probabilities():
     ch = ChannelParams(alpha_0=3.0, alpha_1=7.0)
     assert ch.p_bad == pytest.approx(0.3)
-    assert ch.p_good == pytest.approx(0.7)
 
 
 def test_field_diagonal():

@@ -127,6 +127,17 @@ def test_scenario_requires_seeds():
         parse_scenario_text("sweep_key = rounds\nsweep_values = 5\n")
 
 
+def test_bad_seed_list_is_a_config_error(tmp_path, capsys):
+    for seeds in ("1, x", ""):
+        with pytest.raises(ConfigError, match="seeds"):
+            parse_scenario_text(f"seeds = {seeds}\n")
+        spec_file = tmp_path / "sweep.spec"
+        spec_file.write_text(f"seeds = {seeds}\n")
+        assert main(["sweep", str(spec_file), "--out", str(tmp_path / "sw")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_scenario_sweep_key_and_values_go_together():
     with pytest.raises(ConfigError):
         parse_scenario_text("seeds = 1\nsweep_values = 0.1,0.5\n")

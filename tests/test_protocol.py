@@ -7,8 +7,7 @@ import pytest
 from scfto.config import SimConfig
 from scfto.network import NodeState, init_network
 from scfto.phy import ChannelState
-from scfto.protocol import (ActionKind, ClusterState, HeadAction,
-                            SELF_DECLARE, VOUCH_LEVEL, VOUCH_MIN_EVIDENCE,
+from scfto.protocol import (SELF_DECLARE, VOUCH_LEVEL, VOUCH_MIN_EVIDENCE,
                             choose_head, election_probability, head_action,
                             observe_forwarding, recommendation_items,
                             rotation_eligible, run_round, should_elect)
@@ -128,6 +127,17 @@ def test_choose_head_preconvergence_best_known():
     assert choose_head(node, ranked, state, eligible=True) == ranked[-1]
 
 
+def test_choose_head_preconvergence_tie_goes_to_the_nearer():
+    state = small_state()
+    node = state.nodes[0]
+    ranked = heads_by_distance(state, node)[: state.config.join.n_nch]
+    assert len(ranked) == 2
+    for h in ranked:
+        node.trust.entry(h).value = 0.7
+    # the head list arrives farthest first; the nearer still wins the tie
+    assert choose_head(node, ranked[::-1], state, eligible=True) == ranked[0]
+
+
 def test_choose_head_no_candidates_self_declares_when_eligible():
     state = small_state()
     node = state.nodes[0]
@@ -176,8 +186,7 @@ def test_normal_head_always_forwards():
     state = small_state()
     node = state.nodes[0]
     node.tier = 0
-    act = head_action(node, StubRng([]), state.config)
-    assert act.kind is ActionKind.FORWARD and act.delay_s == 0.0
+    assert head_action(node, StubRng([]), state.config) == (Outcome.FORWARDED, 0.0)
 
 
 def test_malicious_head_drop_and_delay_branches():
@@ -187,13 +196,13 @@ def test_malicious_head_drop_and_delay_branches():
     node.tier = 2
     p_drop = 2 * cfg.attack.p_sf
     eps = 1e-12
-    assert head_action(node, StubRng([p_drop - eps]), cfg).kind is ActionKind.DROP
+    assert head_action(node, StubRng([p_drop - eps]), cfg) == (Outcome.DROPPED, 0.0)
     # survive the drop draw, then hit the conditional delay branch
-    act = head_action(node, StubRng([p_drop + eps, 0.0, 0.5]), cfg)
-    assert act.kind is ActionKind.DELAY
-    assert 0.0 < act.delay_s <= cfg.radio.d_m_s
-    act = head_action(node, StubRng([p_drop + eps, 1.0 - eps]), cfg)
-    assert act.kind is ActionKind.FORWARD
+    fate, delay_s = head_action(node, StubRng([p_drop + eps, 0.0, 0.5]), cfg)
+    assert fate is Outcome.FORWARDED_DELAYED
+    assert delay_s == pytest.approx(0.5 * cfg.radio.d_m_s)
+    assert head_action(node, StubRng([p_drop + eps, 1.0 - eps]), cfg) == (
+        Outcome.FORWARDED, 0.0)
 
 
 def test_unconditional_attack_rates_match_tier():
@@ -209,9 +218,9 @@ def test_unconditional_attack_rates_match_tier():
         n = 200_000
         drops = delays = 0
         for _ in range(n):
-            kind = head_action(node, rng, cfg).kind
-            drops += kind is ActionKind.DROP
-            delays += kind is ActionKind.DELAY
+            fate, _ = head_action(node, rng, cfg)
+            drops += fate is Outcome.DROPPED
+            delays += fate is Outcome.FORWARDED_DELAYED
         assert drops / n == pytest.approx(k * cfg.attack.p_sf, abs=0.005)
         assert delays / n == pytest.approx(k * cfg.attack.p_df, abs=0.005)
 
@@ -220,14 +229,14 @@ def test_unconditional_attack_rates_match_tier():
 
 def test_observe_drop_is_timeout():
     cfg = SimConfig(node_count=10, rounds=1, seed=1)
-    out = observe_forwarding(HeadAction(ActionKind.DROP), ChannelState.GOOD,
+    out = observe_forwarding((Outcome.DROPPED, 0.0), ChannelState.GOOD,
                              StubRng([]), cfg)
     assert out == (Outcome.DROPPED, cfg.radio.d_m_s, False)
 
 
 def test_observe_forward_good_channel():
     cfg = SimConfig(node_count=10, rounds=1, seed=1)
-    out = observe_forwarding(HeadAction(ActionKind.FORWARD), ChannelState.GOOD,
+    out = observe_forwarding((Outcome.FORWARDED, 0.0), ChannelState.GOOD,
                              StubRng([]), cfg)
     assert out == (Outcome.FORWARDED, 0.0, True)
 
@@ -236,7 +245,7 @@ def test_observe_forward_bad_channel_branches():
     cfg = SimConfig(node_count=10, rounds=1, seed=1)
     p_no, p_cd = cfg.effects.p_no, cfg.effects.p_cd
     eps = 1e-12
-    fwd = HeadAction(ActionKind.FORWARD)
+    fwd = (Outcome.FORWARDED, 0.0)
     # retransmission missed entirely
     assert observe_forwarding(fwd, ChannelState.BAD, StubRng([p_no - eps]),
                               cfg) == (Outcome.DROPPED, cfg.radio.d_m_s, False)
@@ -252,7 +261,7 @@ def test_observe_forward_bad_channel_branches():
 
 def test_observe_deliberate_delay():
     cfg = SimConfig(node_count=10, rounds=1, seed=1)
-    act = HeadAction(ActionKind.DELAY, delay_s=0.003)
+    act = (Outcome.FORWARDED_DELAYED, 0.003)
     assert observe_forwarding(act, ChannelState.GOOD, StubRng([]), cfg) == (
         Outcome.FORWARDED_DELAYED, 0.003, True)
     # bad channel can still lose the delayed packet
@@ -289,14 +298,6 @@ def test_recommendations_vouch_gate():
                                           (3, VOUCH_LEVEL - 0.01)]
 
 
-# ------------------------------------------------------------ slot schedule
-
-def test_slot_schedule_bijection():
-    cluster = ClusterState(head=9, members=[7, 3, 5])
-    cluster.schedule()
-    assert cluster.members == [3, 5, 7]  # member i sends in slot i
-
-
 # -------------------------------------------------------------- full rounds
 
 def test_all_normal_forced_good_builds_full_trust():
@@ -329,6 +330,17 @@ def test_round_report_invariants():
         for h, members in rep.clusters:
             assert members  # only populated clusters are reported
             assert h not in members
+
+
+def test_cluster_members_are_in_slot_order():
+    # member i of the ascending-id order sends in slot i
+    state = small_state(n=60, seed=3, malicious_fraction=0.3)
+    seen = 0
+    for r in range(40):
+        for _, members in run_round(state, r).clusters:
+            assert list(members) == sorted(members)
+            seen += len(members) > 1
+    assert seen  # some cluster had more than one member to order
 
 
 def test_dead_network_round_is_empty():
