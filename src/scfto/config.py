@@ -148,6 +148,29 @@ TRUST_LABELS = (
     "complete_trust",
 )
 
+
+@dataclass(frozen=True)
+class PiecewiseLinearMF:
+    """Membership function given as sorted (x, grade) breakpoints.
+
+    Outside the breakpoint span the function continues the edge grade,
+    which is 0 unless the set has a shoulder plateau at the domain edge.
+    """
+
+    points: tuple
+
+    def __call__(self, x: float) -> float:
+        pts = self.points
+        if x <= pts[0][0]:
+            return pts[0][1]
+        if x >= pts[-1][0]:
+            return pts[-1][1]
+        for (x0, g0), (x1, g1) in zip(pts, pts[1:]):
+            if x <= x1:
+                return g0 + (g1 - g0) * (x - x0) / (x1 - x0)
+        return pts[-1][1]
+
+
 # breakpoints as (x, grade) pairs; antecedents are shared by DFD and DFR
 _DEFAULT_ANTECEDENTS = {
     "low": {
@@ -194,12 +217,25 @@ class FLCConfig:
                 for kind in ("umf", "lmf"):
                     pts = sets[label][kind]
                     xs = [x for x, _ in pts]
+                    if not xs:
+                        raise ConfigError(f"flc_{var}_{label}_{kind}",
+                                          "needs at least one breakpoint")
                     if xs != sorted(xs) or len(set(xs)) != len(xs):
                         raise ConfigError(f"flc_{var}_{label}_{kind}",
                                           "breakpoint x values must be strictly increasing")
                     if any(not 0.0 <= g <= 1.0 for _, g in pts):
                         raise ConfigError(f"flc_{var}_{label}_{kind}",
                                           "grades must lie in [0,1]")
+                umf, lmf = (PiecewiseLinearMF(tuple(sets[label][kind]))
+                            for kind in ("umf", "lmf"))
+                # both are linear between neighbouring points of this set, so
+                # LMF <= UMF on [0,1] holds exactly when it holds on the set
+                checkpoints = {0.0, 1.0, *(x for x, _ in umf.points + lmf.points
+                                           if 0.0 < x < 1.0)}
+                for x in sorted(checkpoints):
+                    if lmf(x) > umf(x):
+                        raise ConfigError(f"flc_{var}_{label}_lmf",
+                                          f"lower membership exceeds upper at x={x!r}")
         for label in TRUST_LABELS:
             if label not in self.trust_sets:
                 raise ConfigError(f"flc_trust_{label}", "missing trust set")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import FLCConfig, TRUST_LABELS
+from .config import FLCConfig, PiecewiseLinearMF, TRUST_LABELS
 
 _FULL_FIRING = 1.0 - 1e-12
 
@@ -23,39 +23,20 @@ class NoEvidenceError(ValueError):
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearMF:
-    """Membership function given as sorted (x, grade) breakpoints.
-
-    Outside the breakpoint span the function continues the edge grade,
-    which is 0 unless the set has a shoulder plateau at the domain edge.
-    """
-
-    points: tuple
-
-    def __call__(self, x: float) -> float:
-        pts = self.points
-        if x <= pts[0][0]:
-            return pts[0][1]
-        if x >= pts[-1][0]:
-            return pts[-1][1]
-        for (x0, g0), (x1, g1) in zip(pts, pts[1:]):
-            if x <= x1:
-                return g0 + (g1 - g0) * (x - x0) / (x1 - x0)
-        return pts[-1][1]
-
-
-@dataclass(frozen=True)
 class IT2Set:
     name: str
     umf: PiecewiseLinearMF
     lmf: PiecewiseLinearMF
 
     def membership(self, x: float) -> tuple:
-        """Grade interval [lower, upper] at x."""
-        lo, hi = self.lmf(x), self.umf(x)
-        if lo > hi:
-            raise ValueError(f"{self.name}: LMF exceeds UMF at x={x}")
-        return lo, hi
+        """Grade interval [lower, upper] at x.
+
+        `FLCConfig.validate` holds the LMF at or below the UMF at every
+        breakpoint, so between breakpoints a lower grade above the upper one
+        is rounding (an LMF along the UMF with other breakpoints) and is cut
+        to the upper grade."""
+        hi = self.umf(x)
+        return min(self.lmf(x), hi), hi
 
 
 @dataclass(frozen=True)
@@ -236,15 +217,7 @@ class FuzzyTrustEngine:
                          for label, spec in flc.dfr_sets.items()}
         self.trust_sets = {label: T1TrustSet(label, *flc.trust_sets[label])
                            for label in TRUST_LABELS}
-        self._check_fou()
         self._cache: dict = {}
-
-    def _check_fou(self) -> None:
-        # LMF must stay below UMF everywhere (1e-3 grid)
-        for sets in (self.dfd_sets, self.dfr_sets):
-            for s in sets.values():
-                for i in range(1001):
-                    s.membership(i / 1000.0)
 
     def endpoint_list(self, dfd: float, dfr: float) -> WeightedEndpointList:
         """Weighted cut endpoints of the nine rules at one evidence pair.

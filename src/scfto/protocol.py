@@ -12,6 +12,7 @@ from .config import SimConfig
 from .network import BS, NodeState, SimState
 from .outlier import detect_threshold
 from .phy import ChannelState, overhear_energy, rx_energy, sample_channel_state, tx_energy
+from .rng import StreamFactory
 from .trust import NoEvidence, Outcome, merge_recommendation, record_event, update_direct_trust
 
 SELF_DECLARE = "self-declare"
@@ -91,15 +92,18 @@ def rotation_eligible(node: NodeState, config: SimConfig) -> bool:
     return node.rounds_since_head >= math.ceil(1.0 / p)
 
 
-def should_elect(node: NodeState, round_idx: int, rng: random.Random,
+def should_elect(node: NodeState, round_idx: int, streams: StreamFactory,
                  config: SimConfig) -> bool:
-    """Rotation-window eligibility plus the LEACH-style threshold draw."""
-    p = _election_p(node, config)
+    """Rotation-window eligibility plus the LEACH-style threshold draw.
+
+    The node's `elect` stream is opened only once it is eligible, since an
+    ineligible node draws nothing."""
     if not rotation_eligible(node, config):
         return False
+    p = _election_p(node, config)
     period = 1.0 / p
     threshold = p / (1.0 - p * math.fmod(round_idx, period))
-    return rng.random() < threshold
+    return streams.stream("elect", node.id, round_idx).random() < threshold
 
 
 def choose_head(node: NodeState, heads: list, state: SimState, eligible: bool):
@@ -129,11 +133,13 @@ def choose_head(node: NodeState, heads: list, state: SimState, eligible: bool):
     return SELF_DECLARE if eligible else None
 
 
-def head_action(head: NodeState, rng: random.Random, config: SimConfig) -> tuple:
+def head_action(head: NodeState, rng: random.Random | None,
+                config: SimConfig) -> tuple:
     """What the head does with one member packet, as (fate, delay_s):
     (FORWARDED, 0.0), (DROPPED, 0.0) or (FORWARDED_DELAYED, d).  Tier k
     drops with probability k*p_sf and delays with unconditional
-    probability k*p_df."""
+    probability k*p_df.  A normal head draws nothing, so its `rng` may be
+    None."""
     if not head.malicious:
         return Outcome.FORWARDED, 0.0
     k = head.tier
@@ -149,7 +155,7 @@ def head_action(head: NodeState, rng: random.Random, config: SimConfig) -> tuple
 
 
 def observe_forwarding(action: tuple, channel: ChannelState,
-                       rng: random.Random, config: SimConfig) -> tuple:
+                       rng: random.Random | None, config: SimConfig) -> tuple:
     """What the member's overhearing records for one packet, given the
     head's (fate, delay_s) from `head_action`.
 
@@ -157,7 +163,8 @@ def observe_forwarding(action: tuple, channel: ChannelState,
     channel a genuinely forwarded packet is lost once and retransmitted at
     half the overhearing window; the retransmission is missed with
     probability p_no and otherwise captured as delayed with probability
-    p_cd.  A dropped packet is a timeout at the full window.
+    p_cd.  A dropped packet is a timeout at the full window.  A good
+    channel draws nothing, so there `rng` may be None.
     """
     fate, delay_s = action
     d_m = config.radio.d_m_s
@@ -200,8 +207,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
 
     # (2) election: self-elected heads broadcast across the whole field
     heads = [node.id for node in alive
-             if should_elect(node, round_idx,
-                             state.streams.stream("elect", node.id, round_idx), config)]
+             if should_elect(node, round_idx, state.streams, config)]
     diag = config.field_diagonal_m
     ctrl = config.control_packet_bits
     broadcast_ok = set()
@@ -273,11 +279,14 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                     continue
                 merge_recommendation(member.trust, observed, t_head, t_rec)
 
-    # (5) data phase, member packets in slot order
+    # (5) data phase, member packets in slot order.  Only a malicious head
+    # draws for a packet's fate and only a bad channel draws for what a
+    # member overhears, so only they open a stream.
     data_bits = config.data_packet_bits
     for head_id, members in clusters.items():
         head = state.nodes[head_id]
-        attack_rng = state.streams.stream("attack", head_id, round_idx)
+        attack_rng = (state.streams.stream("attack", head_id, round_idx)
+                      if head.malicious else None)
         for member_id in members:
             member = state.nodes[member_id]
             if not member.alive:
@@ -314,7 +323,8 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                 continue
             if not member.alive:
                 continue
-            observe_rng = state.streams.stream("observe", member_id, round_idx)
+            observe_rng = (state.streams.stream("observe", member_id, round_idx)
+                           if channel is ChannelState.BAD else None)
             outcome, duration, overheard = observe_forwarding(action, channel,
                                                               observe_rng, config)
             state.debit(member, overhear_energy(config.radio, duration,

@@ -4,6 +4,8 @@ Every random draw in a simulation comes from a stream keyed by
 (master seed, subsystem tag, node id, round index).  Streams are therefore
 independent of iteration order and of how many draws other subsystems make,
 so adding a metric or reordering bookkeeping cannot perturb the protocol.
+A stream is opened only where a draw follows: seeding a Mersenne Twister
+costs far more than drawing from it, and an unopened stream draws nothing.
 """
 from __future__ import annotations
 
@@ -31,19 +33,30 @@ def _key_to_int(key) -> int:
     raise TypeError(f"unsupported stream key type: {type(key)!r}")
 
 
-def derive_seed(master_seed: int, *keys) -> int:
-    """Mix the master seed with an arbitrary key tuple into a 64-bit seed."""
-    state = _splitmix64(master_seed & _MASK64)
+def _chain(state: int, keys) -> int:
     for key in keys:
         state = _splitmix64(state ^ _key_to_int(key))
     return state
 
 
+def derive_seed(master_seed: int, *keys) -> int:
+    """Mix the master seed with an arbitrary key tuple into a 64-bit seed."""
+    return _chain(_splitmix64(master_seed & _MASK64), keys)
+
+
 class StreamFactory:
-    """Hands out independent `random.Random` streams for one master seed."""
+    """Hands out independent `random.Random` streams for one master seed.
+
+    `stream(s, n, r)` is seeded with `derive_seed(master_seed, s, n, r)`; the
+    `(master_seed, s)` prefix of that chain is computed once per subsystem.
+    """
 
     def __init__(self, master_seed: int):
         self.master_seed = master_seed & _MASK64
+        self._prefixes: dict = {}  # subsystem -> derive_seed(master_seed, subsystem)
 
     def stream(self, subsystem: str, node: int = -1, round_idx: int = -1) -> random.Random:
-        return random.Random(derive_seed(self.master_seed, subsystem, node, round_idx))
+        prefix = self._prefixes.get(subsystem)
+        if prefix is None:
+            prefix = self._prefixes[subsystem] = derive_seed(self.master_seed, subsystem)
+        return random.Random(_chain(prefix, (node, round_idx)))

@@ -1,6 +1,6 @@
 """Configuration records, validation, and the flat key-value file format."""
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from scfto.config import (
     KEY_TABLE,
@@ -120,6 +120,22 @@ def test_parse_membership_override():
     assert cfg.trust_flc.dfd_sets["low"]["umf"] == ((0.0, 1.0), (0.2, 1.0), (0.5, 0.0))
 
 
+def test_lower_membership_above_upper_is_a_config_error():
+    medium = {"umf": ((0.2, 0.0), (0.5, 1.0), (0.8, 0.0))}
+    # equal functions are a valid (degenerate) footprint
+    FLCConfig(dfr_sets={**FLCConfig().dfr_sets,
+                        "medium": {**medium, "lmf": medium["umf"]}}).validate()
+    # a spike that falls between the points of a 0.001 grid
+    spike = ((0.0004, 0.0), (0.0005, 0.5), (0.0006, 0.0))
+    with pytest.raises(ConfigError) as err:
+        FLCConfig(dfr_sets={**FLCConfig().dfr_sets,
+                            "medium": {**medium, "lmf": spike}}).validate()
+    assert err.value.field == "flc_dfr_medium_lmf"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("flc_dfd_low_umf = 0.5:0.0\n")
+    assert err.value.field == "flc_dfd_low_lmf"
+
+
 def test_dump_config_round_trips():
     cfg = parse_config_text("node_count = 17\np_df = 0.08\nbs_x = 120.0\n")
     again = parse_config_text(dump_config(cfg))
@@ -155,8 +171,18 @@ def sim_configs(draw):
         return tuple((x, draw(unit())) for x in xs)
 
     def antecedents():
-        return {label: {"umf": breakpoints(), "lmf": breakpoints()}
-                for label in ("low", "medium", "high")}
+        # a scaled-down copy of the upper MF lies below it up to the rounding
+        # of the interpolation, which validation rejects
+        sets = {}
+        for label in ("low", "medium", "high"):
+            umf = breakpoints()
+            scale = draw(unit())
+            sets[label] = {"umf": umf, "lmf": tuple((x, g * scale) for x, g in umf)}
+        try:
+            FLCConfig(dfd_sets=sets, dfr_sets=sets).validate()
+        except ConfigError:
+            reject()
+        return sets
 
     return SimConfig(
         field_width_m=draw(positive()), field_height_m=draw(positive()),

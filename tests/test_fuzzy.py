@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scfto.config import FLCConfig
 from scfto.fuzzy import (
     FuzzyTrustEngine,
     NoEvidenceError,
@@ -37,6 +38,18 @@ def test_membership_interval_ordering_on_grid(engine):
             for i in range(101):
                 lo, hi = s.membership(i / 100)
                 assert 0.0 <= lo <= hi <= 1.0
+
+
+def test_lower_mf_along_the_upper_one_is_an_interval():
+    # equal in exact arithmetic; the LMF's extra breakpoint makes its
+    # interpolation round above the UMF at some points (x = 0.0009 is one)
+    ramp = ((0.0, 0.0), (1.0, 1.0))
+    sets = {**FLCConfig().dfd_sets,
+            "high": {"umf": ramp, "lmf": ((0.0, 0.0), (0.3, 0.3), (1.0, 1.0))}}
+    high = FuzzyTrustEngine(FLCConfig(dfd_sets=sets)).dfd_sets["high"]
+    for i in range(10001):
+        lo, hi = high.membership(i / 10000)
+        assert lo <= hi == i / 10000
 
 
 def test_trust_set_symmetry_classification(engine):

@@ -219,6 +219,19 @@ def test_cli_bad_config_is_error_code_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_lower_membership_above_upper_is_error_code_2(tmp_path, capsys):
+    cfg_file = tmp_path / "fou.cfg"
+    cfg_file.write_text("node_count = 5\nrounds = 2\nflc_dfd_low_umf = 0.5:0.0\n")
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+    assert "flc_dfd_low_lmf" in capsys.readouterr().err
+    cfg_file.write_text("node_count = 5\nrounds = 2\n")
+    spec_file = tmp_path / "sweep.spec"
+    spec_file.write_text(f"config = {cfg_file}\nseeds = 1\nsweep_key = flc_dfd_low_umf\n"
+                         "sweep_values = 0.5:1.0, 0.5:0.0\n")  # the first item is valid
+    assert main(["sweep", str(spec_file), "--out", str(tmp_path / "sw")]) == 2
+    assert "flc_dfd_low_lmf" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
 
 def test_cli_run_replays_its_manifest(tmp_path, capsys):
     cfg_file = tmp_path / "small.cfg"

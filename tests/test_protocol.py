@@ -1,12 +1,14 @@
 """Protocol engine: election, head choice, attack behavior, overhearing,
 recommendation policy, and whole-round invariants."""
 import math
+from collections import Counter
 
 import pytest
 
 from scfto.config import SimConfig
 from scfto.network import NodeState, init_network
 from scfto.phy import ChannelState
+from scfto.rng import StreamFactory
 from scfto.protocol import (SELF_DECLARE, VOUCH_LEVEL, VOUCH_MIN_EVIDENCE,
                             choose_head, election_probability, head_action,
                             observe_forwarding, recommendation_items,
@@ -24,6 +26,19 @@ class StubRng:
         return self.draws.pop(0)
 
 
+class StubStreams:
+    """StreamFactory stand-in whose every stream is one StubRng; it records
+    the key of each stream opened."""
+
+    def __init__(self, draws):
+        self.rng = StubRng(draws)
+        self.opened = []
+
+    def stream(self, subsystem, node=-1, round_idx=-1):
+        self.opened.append((subsystem, node, round_idx))
+        return self.rng
+
+
 def small_state(n=10, seed=1, **kw):
     cfg = SimConfig(node_count=n, rounds=10, seed=seed, **kw)
     return init_network(cfg)
@@ -39,8 +54,8 @@ def test_leach_threshold_formula():
     r = 5
     threshold = p / (1.0 - p * math.fmod(r, 1.0 / p))
     eps = 1e-12
-    assert should_elect(node, r, StubRng([threshold - eps]), state.config)
-    assert not should_elect(node, r, StubRng([threshold + eps]), state.config)
+    assert should_elect(node, r, StubStreams([threshold - eps]), state.config)
+    assert not should_elect(node, r, StubStreams([threshold + eps]), state.config)
 
 
 def test_rotation_window_blocks_recent_heads():
@@ -49,7 +64,9 @@ def test_rotation_window_blocks_recent_heads():
     window = math.ceil(1.0 / node.p_ch)
     node.rounds_since_head = window - 1
     assert not rotation_eligible(node, state.config)
-    assert not should_elect(node, 0, StubRng([0.0]), state.config)
+    streams = StubStreams([0.0])
+    assert not should_elect(node, 0, streams, state.config)
+    assert streams.opened == []  # no stream for an ineligible node
     node.rounds_since_head = window
     assert rotation_eligible(node, state.config)
 
@@ -350,3 +367,54 @@ def test_dead_network_round_is_empty():
     rep = run_round(state, 1)
     assert rep.alive_end == 0
     assert rep.heads == [] and rep.clusters == []
+
+
+# ------------------------------------------------------- where streams open
+
+class CountingStreams(StreamFactory):
+    """The real streams, counted per subsystem as they are opened."""
+
+    def __init__(self, master_seed):
+        super().__init__(master_seed)
+        self.opened = Counter()
+
+    def stream(self, subsystem, node=-1, round_idx=-1):
+        self.opened[subsystem] += 1
+        return super().stream(subsystem, node, round_idx)
+
+
+def counted_state(**kw):
+    state = small_state(n=40, seed=5, **kw)
+    state.streams = CountingStreams(state.config.seed)
+    return state
+
+
+def test_good_channel_opens_no_observe_stream():
+    for channel, observed in (("good", False), ("bad", True)):
+        state = counted_state(force_channel=channel)
+        delivered = sum(run_round(state, r).packets_delivered for r in range(20))
+        assert delivered > 0  # members did overhear forwarding
+        assert (state.streams.opened["observe"] > 0) is observed
+
+
+def test_only_malicious_heads_open_attack_streams():
+    for fraction in (0.0, 0.3):
+        state = counted_state(malicious_fraction=fraction)
+        reports = [run_round(state, r) for r in range(20)]
+        assert sum(len(rep.clusters) for rep in reports) > 0
+        assert state.streams.opened["attack"] == sum(
+            rep.malicious_cluster_count for rep in reports)
+    assert state.streams.opened["attack"] > 0
+
+
+def test_elect_streams_open_for_eligible_nodes_only():
+    state = counted_state()
+    saw_ineligible = False
+    for r in range(20):
+        alive = state.alive_nodes()
+        eligible = sum(rotation_eligible(node, state.config) for node in alive)
+        saw_ineligible |= eligible < len(alive)
+        before = state.streams.opened["elect"]
+        run_round(state, r)
+        assert state.streams.opened["elect"] - before == eligible
+    assert saw_ineligible
