@@ -166,8 +166,10 @@ class PiecewiseLinearMF:
         if x >= pts[-1][0]:
             return pts[-1][1]
         for (x0, g0), (x1, g1) in zip(pts, pts[1:]):
-            if x <= x1:
+            if x < x1:
                 return g0 + (g1 - g0) * (x - x0) / (x1 - x0)
+            if x == x1:
+                return g1  # interpolating would round g0 + (g1 - g0) * 1.0
         return pts[-1][1]
 
 

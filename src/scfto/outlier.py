@@ -6,6 +6,7 @@ its minimum becomes the adaptive trust threshold.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import OutlierParams
@@ -14,13 +15,16 @@ from .config import OutlierParams
 def neighbor_counts(values: list, t_nbr: float) -> list:
     """For each value (sorted order), the count of *other* values at
     absolute distance strictly below t_nbr."""
-    # one pass: [lo, hi) is the window of values within t_nbr of v
+    # one pass: [lo, hi) is the window of values within t_nbr of v; the
+    # infinite sentinel stops the upper pointer, and the lower one stops
+    # at v itself
     counts = []
     lo = hi = 0
+    scan = values + [math.inf]
     for v in values:
         while v - values[lo] >= t_nbr:
             lo += 1
-        while hi < len(values) and values[hi] - v < t_nbr:
+        while scan[hi] - v < t_nbr:
             hi += 1
         counts.append(hi - lo - 1)  # exclude the value itself
     return counts
@@ -46,8 +50,10 @@ def detect_threshold(values, params: OutlierParams) -> float | None:
         # every value is isolated; the seed has no neighbors to pull in
         return vals[-1]
     cutoff = params.core_fraction * max_count
-    is_core = [c > cutoff for c in counts]
-    seed = max(i for i in range(n) if is_core[i])
+    # core_fraction < 1, so a value with the maximum count is core
+    seed = n - 1
+    while counts[seed] <= cutoff:
+        seed -= 1
 
     # values form a sorted array, so the grown cluster is a contiguous run;
     # only the extreme core values can extend it outward
@@ -55,11 +61,11 @@ def detect_threshold(values, params: OutlierParams) -> float | None:
     max_core = min_core = vals[seed]
     while right + 1 < n and vals[right + 1] - max_core < params.t_nbr:
         right += 1
-        if is_core[right]:
+        if counts[right] > cutoff:
             max_core = vals[right]
     while left - 1 >= 0 and min_core - vals[left - 1] < params.t_nbr:
         left -= 1
-        if is_core[left]:
+        if counts[left] > cutoff:
             min_core = vals[left]
     return vals[left]
 

@@ -116,9 +116,13 @@ def choose_head(node: NodeState, heads: list, state: SimState, eligible: bool):
     otherwise self-declares when eligible or idles.  Returns a head id,
     SELF_DECLARE, or None.
     """
-    ranked = sorted(heads, key=lambda h: (state.distance(node.id, h), h))
+    pos = node.position
+    nodes = state.nodes
+    # math.dist goes through the same vector norm as SimState.distance's
+    # hypot, so the ranking is exactly the one by that distance, then id
+    ranked = sorted([(math.dist(pos, nodes[h].position), h) for h in heads])
     # (trust or None while Unknown, head id), nearest first
-    trusts = [(node.trust.value_of(h), h) for h in ranked[:state.config.join.n_nch]]
+    trusts = [(node.trust.value_of(h), h) for _, h in ranked[:state.config.join.n_nch]]
     converged = node.tracker.converged
     if converged:
         t_th = node.tracker.last_t_th
@@ -205,27 +209,35 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         report.alive_end = 0
         return report
 
+    # the round's fixed link costs, each computed once
+    radio = config.radio
+    ctrl = config.control_packet_bits
+    data_bits = config.data_packet_bits
+    ctrl_rx = rx_energy(radio, ctrl)
+    data_rx = rx_energy(radio, data_bits)
+    timeout = overhear_energy(radio, radio.d_m_s, data_bits, False)
+
     # (2) election: self-elected heads broadcast across the whole field
     heads = [node.id for node in alive
              if should_elect(node, round_idx, state.streams, config)]
-    diag = config.field_diagonal_m
-    ctrl = config.control_packet_bits
+    broadcast = tx_energy(radio, ctrl, config.field_diagonal_m)
     broadcast_ok = set()
     for head_id in heads:
-        if state.debit(state.nodes[head_id], tx_energy(config.radio, ctrl, diag),
-                       round_idx):
+        if state.debit(state.nodes[head_id], broadcast, round_idx):
             broadcast_ok.add(head_id)
     for node in alive:
         heard = len(broadcast_ok) - (1 if node.id in broadcast_ok else 0)
         if heard > 0 and node.alive:
-            state.debit(node, heard * rx_energy(config.radio, ctrl), round_idx)
+            state.debit(node, heard * ctrl_rx, round_idx)
     live_heads = sorted(h for h in broadcast_ok if state.nodes[h].alive)
 
     # (3) joining: non-heads pick a head and send a request with their
     # residual energy; an unservable node may self-declare.  Members join
     # in ascending id order, which is their slot order: member i of a
-    # cluster sends in slot i.
+    # cluster sends in slot i.  Distance is symmetric, so a member's
+    # request cost is also its head's acceptance cost.
     clusters: dict = {h: [] for h in live_heads}  # head id -> member ids
+    links: dict = {}  # member id -> (distance to its head, request energy)
     self_declared: list = []
     head_set = set(heads)
     for node in alive:
@@ -240,15 +252,17 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
             continue
         head = state.nodes[choice]
         trust_at_selection = node.trust.value_of(choice) or 0.0  # Unknown counts 0
-        state.debit(node, tx_energy(config.radio, ctrl,
-                                    state.distance(node.id, choice)), round_idx)
+        d = state.distance(node.id, choice)
+        request = tx_energy(radio, ctrl, d)
+        state.debit(node, request, round_idx)
         if not node.alive:
             continue  # request never left the radio
         if head.alive:
-            state.debit(head, rx_energy(config.radio, ctrl), round_idx)
+            state.debit(head, ctrl_rx, round_idx)
         if not head.alive:
             continue
         clusters[choice].append(node.id)
+        links[node.id] = (d, request)
         node.push_head(choice, trust_at_selection, config.election.n_lch)
     clusters = {h: members for h, members in clusters.items() if members}
 
@@ -263,42 +277,36 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         for member_id in members:
             member = state.nodes[member_id]
             if head.alive:
-                state.debit(head, tx_energy(config.radio, ctrl,
-                                            state.distance(head_id, member_id)),
-                            round_idx)
+                state.debit(head, links[member_id][1], round_idx)
             if not head.alive or not member.alive:
                 continue
-            state.debit(member, rx_energy(config.radio, ctrl), round_idx)
+            state.debit(member, ctrl_rx, round_idx)
             if not member.alive:
                 continue
             member.e_max = e_max
             member.e_min = e_min
-            t_head = member.trust.value_of(head_id)
-            for observed, t_rec in recommendations:
-                if observed == member_id:
-                    continue
-                merge_recommendation(member.trust, observed, t_head, t_rec)
+            merge_recommendation(member.trust, recommendations,
+                                 member.trust.value_of(head_id))
 
     # (5) data phase, member packets in slot order.  Only a malicious head
     # draws for a packet's fate and only a bad channel draws for what a
     # member overhears, so only they open a stream.
-    data_bits = config.data_packet_bits
     for head_id, members in clusters.items():
         head = state.nodes[head_id]
         attack_rng = (state.streams.stream("attack", head_id, round_idx)
                       if head.malicious else None)
+        uplink = tx_energy(radio, data_bits, state.distance(head_id, BS))
         for member_id in members:
             member = state.nodes[member_id]
             if not member.alive:
                 continue
-            sent = state.debit(member, tx_energy(config.radio, data_bits,
-                                                 state.distance(member_id, head_id)),
+            sent = state.debit(member, tx_energy(radio, data_bits, links[member_id][0]),
                                round_idx)
             if not sent:
                 continue  # died mid-transmission, packet lost
             action = None  # stays None when the head dies before forwarding
             if head.alive:
-                state.debit(head, rx_energy(config.radio, data_bits), round_idx)
+                state.debit(head, data_rx, round_idx)
             if head.alive:
                 action = head_action(head, attack_rng, config)
                 fate = action[0]
@@ -307,9 +315,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                 else:
                     if fate is Outcome.FORWARDED_DELAYED:
                         report.delay_attacks += 1
-                    if state.debit(head, tx_energy(config.radio, data_bits,
-                                                   state.distance(head_id, BS)),
-                                   round_idx):
+                    if state.debit(head, uplink, round_idx):
                         report.packets_delivered += 1
                     else:
                         action = None
@@ -317,9 +323,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                 # the head died this round: timeout, but energy exhaustion
                 # is not malice, so no trust evidence
                 if member.alive:
-                    state.debit(member, overhear_energy(config.radio,
-                                                        config.radio.d_m_s,
-                                                        data_bits, False), round_idx)
+                    state.debit(member, timeout, round_idx)
                 continue
             if not member.alive:
                 continue
@@ -327,8 +331,8 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                            if channel is ChannelState.BAD else None)
             outcome, duration, overheard = observe_forwarding(action, channel,
                                                               observe_rng, config)
-            state.debit(member, overhear_energy(config.radio, duration,
-                                                data_bits, overheard), round_idx)
+            state.debit(member, overhear_energy(radio, duration, data_bits, overheard),
+                        round_idx)
             record_event(member.trust, head_id, outcome)
 
     # (6) per-member trust inference, threshold detection, convergence, and

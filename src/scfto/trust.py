@@ -19,7 +19,7 @@ class NoEvidence(ValueError):
     """No forwarding observations recorded for this node yet."""
 
 
-@dataclass
+@dataclass(slots=True)
 class EvidenceCounters:
     total_forwarding: int = 0
     successes: int = 0
@@ -46,7 +46,7 @@ def evidence(counters: EvidenceCounters) -> tuple:
     return dfr, dfd
 
 
-@dataclass
+@dataclass(slots=True)
 class TrustEntry:
     value: float | None = None  # None means Unknown
     counters: EvidenceCounters = field(default_factory=EvidenceCounters)
@@ -92,23 +92,35 @@ def update_direct_trust(table: TrustTable, engine: FuzzyTrustEngine,
     return ent.value
 
 
-def merge_recommendation(table: TrustTable, observed: int,
-                         t_head: float | None, t_recommended: float) -> bool:
-    """Fold one recommendation about `observed` into the table.
+def merge_recommendation(table: TrustTable, recommendations: list,
+                         t_head: float | None) -> bool:
+    """Fold one head's recommendations, (observed, trust) pairs, into the
+    table; a recommendation about the table's owner is skipped.
 
-    `t_head` is the observer's trust in the recommending head; Unknown or
-    zero head trust skips the merge so "never observed" stays
-    distinguishable from "observed malicious".  Returns True if applied.
+    `t_head` is the owner's trust in the recommending head; Unknown or
+    zero head trust skips the whole fan-out so "never observed" stays
+    distinguishable from "observed malicious".  Each recommendation T_r
+    moves a positive Known prior to (prior + t_head * T_r) / (1 + t_head)
+    and sets any other entry to t_head * T_r.  Returns True if applied.
     """
     if t_head is None or t_head <= 0.0:
         return False
-    if not 0.0 <= t_recommended <= 1.0:
-        raise ValueError("recommended trust must lie in [0,1]")
-    ent = table.entry(observed)
-    if ent.value is not None and ent.value > 0.0:
-        merged = (ent.value + t_head * t_recommended) / (1.0 + t_head)
-    else:
-        merged = t_head * t_recommended
-    assert 0.0 <= merged <= 1.0
-    ent.value = merged
+    owner = table.owner
+    entries = table.entries
+    weight = 1.0 + t_head
+    for observed, t_recommended in recommendations:
+        if observed == owner:
+            continue
+        if not 0.0 <= t_recommended <= 1.0:
+            raise ValueError("recommended trust must lie in [0,1]")
+        ent = entries.get(observed)
+        if ent is None:
+            ent = entries[observed] = TrustEntry()
+        prior = ent.value
+        if prior is not None and prior > 0.0:
+            merged = (prior + t_head * t_recommended) / weight
+        else:
+            merged = t_head * t_recommended
+        assert 0.0 <= merged <= 1.0
+        ent.value = merged
     return True

@@ -2,6 +2,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scfto.config import OutlierParams
 from scfto.outlier import ConvergenceTracker, detect_threshold, neighbor_counts
@@ -33,6 +34,30 @@ def test_neighbor_counts_use_the_difference():
 def test_neighbor_counts_cluster():
     vals = sorted([0.9, 0.905, 0.91, 0.2])
     assert neighbor_counts(vals, 0.1) == [0, 2, 2, 2]
+
+
+@st.composite
+def sorted_values_and_radius(draw):
+    t_nbr = draw(st.one_of(st.sampled_from([0.01, 0.1, 0.125, 0.25]),
+                           st.floats(min_value=1e-3, max_value=0.5)))
+    values = draw(st.lists(st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                                     st.sampled_from([0.0, 1.0])), max_size=30))
+    # pairs one radius apart: exactly so in binary for a dyadic radius on
+    # the 1/64 grid, and within rounding of it otherwise
+    for k in draw(st.lists(st.integers(0, 64), max_size=4)):
+        if k / 64 + t_nbr <= 1.0:
+            values += [k / 64, k / 64 + t_nbr]
+    if values:
+        values += draw(st.lists(st.sampled_from(values), max_size=6))  # duplicates
+    return sorted(values), t_nbr
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_values_and_radius())
+def test_neighbor_counts_follow_the_definition(case):
+    vals, t_nbr = case
+    assert neighbor_counts(vals, t_nbr) == [sum(abs(y - x) < t_nbr for y in vals) - 1
+                                            for x in vals]
 
 
 # --------------------------------------------------------------- threshold

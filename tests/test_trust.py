@@ -1,13 +1,12 @@
 """Trust tables: evidence counters, (dfr, dfd) ratios, direct-trust
 inference, and recommendation merging."""
-import math
-
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scfto.fuzzy import FuzzyTrustEngine
-from scfto.trust import (EvidenceCounters, NoEvidence, Outcome, TrustEntry,
-                         TrustTable, evidence, merge_recommendation,
-                         record_event, update_direct_trust)
+from scfto.trust import (EvidenceCounters, NoEvidence, Outcome, TrustTable,
+                         evidence, merge_recommendation, record_event,
+                         update_direct_trust)
 
 
 # ---------------------------------------------------------------- counters
@@ -101,34 +100,34 @@ def test_merge_known_branch_weighted_average():
     # (0.6 + 0.5*0.9) / (1 + 0.5) = 0.7
     t = TrustTable(owner=0)
     t.entry(9).value = 0.6
-    assert merge_recommendation(t, 9, t_head=0.5, t_recommended=0.9)
+    assert merge_recommendation(t, [(9, 0.9)], t_head=0.5)
     assert t.entry(9).value == pytest.approx(0.7)
 
 
 def test_merge_unknown_branch_product():
     t = TrustTable(owner=0)
-    assert merge_recommendation(t, 9, t_head=0.8, t_recommended=0.5)
+    assert merge_recommendation(t, [(9, 0.5)], t_head=0.8)
     assert t.entry(9).value == pytest.approx(0.4)
 
 
 def test_merge_zero_prior_uses_product_branch():
     t = TrustTable(owner=0)
     t.entry(9).value = 0.0
-    merge_recommendation(t, 9, t_head=0.8, t_recommended=0.5)
+    merge_recommendation(t, [(9, 0.5)], t_head=0.8)
     assert t.entry(9).value == pytest.approx(0.4)
 
 
 def test_merge_skipped_for_unknown_or_distrusted_head():
     t = TrustTable(owner=0)
-    assert not merge_recommendation(t, 9, t_head=None, t_recommended=0.9)
-    assert not merge_recommendation(t, 9, t_head=0.0, t_recommended=0.9)
+    assert not merge_recommendation(t, [(9, 0.9)], t_head=None)
+    assert not merge_recommendation(t, [(9, 0.9)], t_head=0.0)
     assert 9 not in t.entries
 
 
 def test_merge_rejects_out_of_range_recommendation():
     t = TrustTable(owner=0)
     with pytest.raises(ValueError):
-        merge_recommendation(t, 9, t_head=0.5, t_recommended=1.5)
+        merge_recommendation(t, [(9, 1.5)], t_head=0.5)
 
 
 def test_merge_fixed_point_when_opinions_agree():
@@ -137,7 +136,7 @@ def test_merge_fixed_point_when_opinions_agree():
     t = TrustTable(owner=0)
     for v in (0.25, 0.5, 1.0):
         t.entry(9).value = v
-        merge_recommendation(t, 9, t_head=0.7, t_recommended=v)
+        merge_recommendation(t, [(9, v)], t_head=0.7)
         assert t.entry(9).value == pytest.approx(v)
 
 
@@ -149,7 +148,7 @@ def test_merge_stays_in_unit_interval():
                 t.entries.pop(9, None)
                 if prior is not None:
                     t.entry(9).value = prior
-                merge_recommendation(t, 9, t_head=t_head, t_recommended=rec)
+                merge_recommendation(t, [(9, rec)], t_head=t_head)
                 assert 0.0 <= t.entry(9).value <= 1.0
 
 
@@ -158,6 +157,48 @@ def test_merge_pulls_toward_recommendation():
     # they differ and the prior is positive.
     t = TrustTable(owner=0)
     t.entry(9).value = 0.9
-    merge_recommendation(t, 9, t_head=1.0, t_recommended=0.1)
+    merge_recommendation(t, [(9, 0.1)], t_head=1.0)
     assert 0.1 < t.entry(9).value < 0.9
     assert t.entry(9).value == pytest.approx(0.5)
+
+
+def fold_one_by_one(priors: dict, recommendations, owner, t_head) -> dict:
+    """The fan-out written item by item with the single-merge formula."""
+    out = dict(priors)
+    for observed, t_rec in recommendations:
+        if observed == owner:
+            continue
+        prior = out.get(observed)
+        if prior is not None and prior > 0.0:
+            out[observed] = (prior + t_head * t_rec) / (1.0 + t_head)
+        else:
+            out[observed] = t_head * t_rec
+    return out
+
+
+_trust = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(priors=st.dictionaries(st.integers(0, 8), st.one_of(st.none(), _trust),
+                              max_size=9),
+       recommendations=st.lists(st.tuples(st.integers(0, 8), _trust), max_size=12),
+       t_head=st.one_of(st.none(), st.just(0.0), _trust))
+def test_merge_fans_out_like_single_merges(priors, recommendations, t_head):
+    owner = 0
+    t = TrustTable(owner=owner)
+    for observed, value in priors.items():
+        if observed != owner:
+            t.entry(observed).value = value
+    before = {k: e.value for k, e in t.entries.items()}
+    applied = merge_recommendation(t, recommendations, t_head)
+    after = {k: e.value for k, e in t.entries.items()}
+    if t_head is None or t_head == 0.0:
+        assert applied is False
+        assert after == before  # no entry created or moved
+        return
+    assert applied is True
+    assert owner not in t.entries  # recommendations about the owner are skipped
+    # bit-for-bit what folding the items one at a time gives
+    assert after == fold_one_by_one(before, recommendations, owner, t_head)
+    assert all(v is None or 0.0 <= v <= 1.0 for v in after.values())
