@@ -39,11 +39,6 @@ class RadioParams:
         """Crossover distance between the free-space and multipath regimes."""
         return math.sqrt(self.eps_fs / self.eps_amp)
 
-    def validate(self) -> None:
-        for name in ("e_elec", "eps_fs", "eps_amp", "e_da", "e_h", "e_m", "d_m_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(name, "must be strictly positive")
-
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -54,38 +49,17 @@ class ChannelParams:
     def p_bad(self) -> float:
         return self.alpha_0 / (self.alpha_0 + self.alpha_1)
 
-    def validate(self) -> None:
-        if self.alpha_0 <= 0:
-            raise ConfigError("alpha_0", "must be strictly positive")
-        if self.alpha_1 <= 0:
-            raise ConfigError("alpha_1", "must be strictly positive")
-
 
 @dataclass(frozen=True)
 class ChannelEffects:
     p_cd: float = 0.2  # retransmission captured as a delay event
     p_no: float = 0.2  # forwarded packet not overheard under a bad channel
 
-    def validate(self) -> None:
-        for name in ("p_cd", "p_no"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(name, "must be a probability in [0,1]")
-
 
 @dataclass(frozen=True)
 class AttackParams:
     p_sf: float = 0.1  # base dropping probability
     p_df: float = 0.1  # base delaying probability
-
-    def validate(self) -> None:
-        for name in ("p_sf", "p_df"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(name, "must be a probability in [0,1]")
-        if 3 * self.p_sf + 3 * self.p_df > 1.0 + 1e-12:
-            raise ConfigError("p_sf", "tier-3 action probabilities exceed 1: "
-                                      "need 3*p_sf + 3*p_df <= 1")
 
 
 @dataclass(frozen=True)
@@ -98,26 +72,10 @@ class ElectionParams:
     eta: float = 0.4
     n_lch: int = 10  # head-history length
 
-    def validate(self) -> None:
-        for name in ("p0_init", "p_ct", "p_t", "p_mt", "p_dt"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigError(name, "must lie in (0,1)")
-        if not (self.p_ct < self.p_t < self.p_mt < self.p_dt):
-            raise ConfigError("p_ct", "need p_ct < p_t < p_mt < p_dt")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError("eta", "must lie in [0,1]")
-        if self.n_lch < 1:
-            raise ConfigError("n_lch", "must be >= 1")
-
 
 @dataclass(frozen=True)
 class JoinParams:
     n_nch: int = 2  # nearest-head candidate count
-
-    def validate(self) -> None:
-        if self.n_nch < 1:
-            raise ConfigError("n_nch", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -126,16 +84,6 @@ class OutlierParams:
     core_fraction: float = 0.8
     th_d: float = 0.05        # convergence tolerance between rounds
     n_s: int = 60             # consecutive stable rounds required
-
-    def validate(self) -> None:
-        if self.t_nbr <= 0:
-            raise ConfigError("t_nbr", "must be strictly positive")
-        if not 0.0 < self.core_fraction < 1.0:
-            raise ConfigError("core_fraction", "must lie in (0,1)")
-        if self.th_d <= 0:
-            raise ConfigError("th_d", "must be strictly positive")
-        if self.n_s < 1:
-            raise ConfigError("n_s", "must be >= 1")
 
 
 TRUST_LABELS = (
@@ -222,6 +170,9 @@ class FLCConfig:
                     if not xs:
                         raise ConfigError(f"flc_{var}_{label}_{kind}",
                                           "needs at least one breakpoint")
+                    if not all(map(math.isfinite, xs)):
+                        raise ConfigError(f"flc_{var}_{label}_{kind}",
+                                          "breakpoint x values must be finite")
                     if xs != sorted(xs) or len(set(xs)) != len(xs):
                         raise ConfigError(f"flc_{var}_{label}_{kind}",
                                           "breakpoint x values must be strictly increasing")
@@ -242,8 +193,8 @@ class FLCConfig:
             if label not in self.trust_sets:
                 raise ConfigError(f"flc_trust_{label}", "missing trust set")
             a, c, b = self.trust_sets[label]
-            if not a <= c <= b:
-                raise ConfigError(f"flc_trust_{label}", "need a <= c <= b")
+            if not -math.inf < a <= c <= b < math.inf:
+                raise ConfigError(f"flc_trust_{label}", "need finite a <= c <= b")
         if not 0.0 <= self.dfr_bypass <= 1.0:
             raise ConfigError("dfr_bypass", "must lie in [0,1]")
 
@@ -273,37 +224,17 @@ class SimConfig:
     force_channel: str | None = None  # "good" / "bad" testing override
 
     def validate(self) -> None:
-        if self.field_width_m <= 0:
-            raise ConfigError("field_width_m", "must be strictly positive")
-        if self.field_height_m <= 0:
-            raise ConfigError("field_height_m", "must be strictly positive")
-        if self.node_count < 1:
-            raise ConfigError("node_count", "must be >= 1")
-        if not 0.0 <= self.malicious_fraction <= 1.0:
-            raise ConfigError("malicious_fraction", "must lie in [0,1]")
-        if len(self.tier_mix) != 3 or any(r < 0 for r in self.tier_mix):
-            raise ConfigError("tier_mix", "must be three nonnegative ratios")
-        if abs(sum(self.tier_mix) - 1.0) > 1e-9:
-            raise ConfigError("tier_mix", "ratios must sum to 1 within 1e-9")
-        if self.data_packet_bits <= 0:
-            raise ConfigError("data_packet_bits", "must be strictly positive")
-        if self.control_packet_bits <= 0:
-            raise ConfigError("control_packet_bits", "must be strictly positive")
-        if self.initial_energy_j <= 0:
-            raise ConfigError("initial_energy_j", "must be strictly positive")
-        if self.rounds < 1:
-            raise ConfigError("rounds", "must be >= 1")
-        if self.cycle_len_rounds < 1:
-            raise ConfigError("cycle_len_rounds", "must be >= 1")
-        if self.force_channel not in (None, "good", "bad"):
-            raise ConfigError("force_channel", "must be 'good', 'bad', or unset")
-        self.radio.validate()
-        self.channel.validate()
-        self.effects.validate()
-        self.attack.validate()
-        self.election.validate()
-        self.join.validate()
-        self.outlier.validate()
+        """Check every key against its `KEY_TABLE` row, then the rules that
+        tie keys together."""
+        for key, (path, _, _, check) in KEY_TABLE.items():
+            if check is not None and not check[0](reduce(_get, path, self)):
+                raise ConfigError(key, check[1])
+        if 3 * self.attack.p_sf + 3 * self.attack.p_df > 1.0 + 1e-12:
+            raise ConfigError("p_sf", "tier-3 action probabilities exceed 1: "
+                                      "need 3*p_sf + 3*p_df <= 1")
+        e = self.election
+        if not e.p_ct < e.p_t < e.p_mt < e.p_dt:
+            raise ConfigError("p_ct", "need p_ct < p_t < p_mt < p_dt")
         self.trust_flc.validate()
 
     @property
@@ -333,8 +264,15 @@ def read_key_values(text: str):
         yield key.strip().lower(), value.strip()
 
 
+def _finite(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError("must be finite")
+    return v
+
+
 def _parse_tuple3(s: str) -> tuple:
-    parts = [float(p) for p in s.split(",")]
+    parts = [_finite(p) for p in s.split(",")]
     if len(parts) != 3:
         raise ValueError("expected three comma-separated values")
     return tuple(parts)
@@ -344,7 +282,7 @@ def _parse_breakpoints(s: str) -> tuple:
     pts = []
     for item in s.split(","):
         x, _, g = item.partition(":")
-        pts.append((float(x), float(g)))
+        pts.append((_finite(x), _finite(g)))
     return tuple(pts)
 
 
@@ -354,50 +292,68 @@ def _parse_channel_force(s: str):
 
 
 # value kinds: (parser, renderer)
-_FLOAT = (float, repr)
+_FLOAT = (_finite, repr)
 _INT = (int, repr)
 _TUPLE3 = (_parse_tuple3, lambda t: ",".join(repr(v) for v in t))
 _BREAKPOINTS = (_parse_breakpoints, lambda pts: ",".join(f"{x!r}:{g!r}" for x, g in pts))
 _CHANNEL = (_parse_channel_force, lambda v: v or "none")
 
+# row checks: (predicate, message), each written so that NaN fails it
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be finite and strictly positive")
+_FINITE = (math.isfinite, "must be finite")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0,1]")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in (0,1)")
+_COUNT = (lambda v: v >= 1, "must be >= 1")
+_RATIOS = (lambda t: len(t) == 3 and all(r >= 0.0 for r in t) and abs(sum(t) - 1.0) <= 1e-9,
+           "must be three nonnegative ratios summing to 1 within 1e-9")
+_CHANNELS = (lambda v: v in (None, "good", "bad"), "must be 'good', 'bad', or unset")
+_BY_FLC = None  # FLCConfig.validate checks the controller's keys together
 
-def _keys(prefix: str, kind: tuple, *names: str) -> list:
+
+def _keys(prefix: str, kind: tuple, check, *names: str) -> list:
     # keys named like their field
-    return [(name, prefix + name, kind) for name in names]
+    return [(name, prefix + name, kind, check) for name in names]
 
 
-# file key -> (path into SimConfig, parser, renderer), in manifest order.  A
-# path step is an attribute name, a dict key or a tuple index.
+# file key -> (path into SimConfig, parser, renderer, check), in manifest
+# order.  A path step is an attribute name, a dict key or a tuple index.
+# `SimConfig.validate` applies each row's check; `seed` takes any integer.
 KEY_TABLE = {
-    key: (tuple(int(s) if s.isdigit() else s for s in path.split(".")), *kind)
-    for key, path, kind in [
-        *_keys("", _FLOAT, "field_width_m", "field_height_m"),
-        ("bs_x", "bs_position.0", _FLOAT),
-        ("bs_y", "bs_position.1", _FLOAT),
-        ("node_count", "node_count", _INT),
-        ("malicious_fraction", "malicious_fraction", _FLOAT),
-        ("tier_mix", "tier_mix", _TUPLE3),
-        *_keys("", _INT, "data_packet_bits", "control_packet_bits"),
-        ("e_0", "initial_energy_j", _FLOAT),
-        *_keys("", _INT, "rounds", "cycle_len_rounds", "seed"),
-        ("force_channel", "force_channel", _CHANNEL),
-        *_keys("radio.", _FLOAT, "e_elec", "eps_fs", "eps_amp", "e_da", "e_h", "e_m",
-               "d_m_s"),
-        *_keys("channel.", _FLOAT, "alpha_0", "alpha_1"),
-        *_keys("effects.", _FLOAT, "p_cd", "p_no"),
-        *_keys("attack.", _FLOAT, "p_sf", "p_df"),
-        ("p_0", "election.p0_init", _FLOAT),
-        *_keys("election.", _FLOAT, "p_ct", "p_t", "p_mt", "p_dt", "eta"),
-        ("n_lch", "election.n_lch", _INT),
-        ("n_nch", "join.n_nch", _INT),
-        *_keys("outlier.", _FLOAT, "t_nbr", "core_fraction", "th_d"),
-        ("n_s", "outlier.n_s", _INT),
-        ("dfr_bypass", "trust_flc.dfr_bypass", _FLOAT),
+    key: (tuple(int(s) if s.isdigit() else s for s in path.split(".")), *kind, check)
+    for key, path, kind, check in [
+        *_keys("", _FLOAT, _POSITIVE, "field_width_m", "field_height_m"),
+        ("bs_x", "bs_position.0", _FLOAT, _FINITE),
+        ("bs_y", "bs_position.1", _FLOAT, _FINITE),
+        ("node_count", "node_count", _INT, _COUNT),
+        ("malicious_fraction", "malicious_fraction", _FLOAT, _UNIT),
+        ("tier_mix", "tier_mix", _TUPLE3, _RATIOS),
+        *_keys("", _INT, _COUNT, "data_packet_bits", "control_packet_bits"),
+        ("e_0", "initial_energy_j", _FLOAT, _POSITIVE),
+        *_keys("", _INT, _COUNT, "rounds", "cycle_len_rounds"),
+        ("seed", "seed", _INT, None),
+        ("force_channel", "force_channel", _CHANNEL, _CHANNELS),
+        *_keys("radio.", _FLOAT, _POSITIVE, "e_elec", "eps_fs", "eps_amp", "e_da", "e_h",
+               "e_m", "d_m_s"),
+        *_keys("channel.", _FLOAT, _POSITIVE, "alpha_0", "alpha_1"),
+        *_keys("effects.", _FLOAT, _UNIT, "p_cd", "p_no"),
+        *_keys("attack.", _FLOAT, _UNIT, "p_sf", "p_df"),
+        ("p_0", "election.p0_init", _FLOAT, _OPEN_UNIT),
+        *_keys("election.", _FLOAT, _OPEN_UNIT, "p_ct", "p_t", "p_mt", "p_dt"),
+        # eta = 1 would zero the election probability of a member at its
+        # cluster's energy minimum
+        ("eta", "election.eta", _FLOAT, (lambda v: 0.0 <= v < 1.0, "must lie in [0,1)")),
+        ("n_lch", "election.n_lch", _INT, _COUNT),
+        ("n_nch", "join.n_nch", _INT, _COUNT),
+        ("t_nbr", "outlier.t_nbr", _FLOAT, _POSITIVE),
+        ("core_fraction", "outlier.core_fraction", _FLOAT, _OPEN_UNIT),
+        ("th_d", "outlier.th_d", _FLOAT, _POSITIVE),
+        ("n_s", "outlier.n_s", _INT, _COUNT),
+        ("dfr_bypass", "trust_flc.dfr_bypass", _FLOAT, _BY_FLC),
         *[(f"flc_{var}_{label}_{kind}", f"trust_flc.{var}_sets.{label}.{kind}",
-           _BREAKPOINTS)
+           _BREAKPOINTS, _BY_FLC)
           for var in ("dfd", "dfr") for label in ("low", "medium", "high")
           for kind in ("umf", "lmf")],
-        *[(f"flc_trust_{label}", f"trust_flc.trust_sets.{label}", _TUPLE3)
+        *[(f"flc_trust_{label}", f"trust_flc.trust_sets.{label}", _TUPLE3, _BY_FLC)
           for label in TRUST_LABELS],
     ]
 }
@@ -432,7 +388,7 @@ def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
             continue
         if key not in KEY_TABLE:
             raise ConfigError(key, "unknown configuration key")
-        path, parse, _ = KEY_TABLE[key]
+        path, parse, _, _ = KEY_TABLE[key]
         try:
             cfg = _set_path(cfg, path, parse(value))
         except ValueError as exc:
@@ -449,4 +405,4 @@ def load_config(path: str, base: SimConfig | None = None) -> SimConfig:
 def dump_config(cfg: SimConfig) -> str:
     """Render every key as parseable `key = value` lines (manifest echo)."""
     return "".join(f"{key} = {render(reduce(_get, path, cfg))}\n"
-                   for key, (path, _, render) in KEY_TABLE.items())
+                   for key, (path, _, render, _) in KEY_TABLE.items())

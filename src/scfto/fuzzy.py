@@ -183,27 +183,6 @@ def type_reduce(endpoints: WeightedEndpointList) -> tuple:
     return eiasc(endpoints.left, 2, min), eiasc(endpoints.right, 1, max)
 
 
-def reference_type_reduce(endpoints: WeightedEndpointList) -> tuple:
-    """Exhaustive switch-point search; the independent oracle for EIASC."""
-    def quotients(points, prefix_idx, suffix_idx):
-        n = len(points)
-        values = []
-        for m in range(1, n):
-            num = sum(points[u][0] * points[u][prefix_idx] for u in range(m))
-            num += sum(points[u][0] * points[u][suffix_idx] for u in range(m, n))
-            den = sum(points[u][prefix_idx] for u in range(m))
-            den += sum(points[u][suffix_idx] for u in range(m, n))
-            if den > 0.0:
-                values.append(num / den)
-        if not values:
-            raise NoEvidenceError("all grades are zero")
-        return values
-
-    # left end: upper grades before the switch; right end: lower grades first
-    return (min(quotients(endpoints.left, 2, 1)),
-            max(quotients(endpoints.right, 1, 2)))
-
-
 class FuzzyTrustEngine:
     """Stateless trust inference pipeline built from one FLC configuration."""
 

@@ -186,6 +186,10 @@ class ScenarioSpec:
             raise ConfigError("seeds", "seed list must be nonempty")
         if bool(self.sweep_values) != (self.sweep_key is not None):
             raise ConfigError("sweep_key", "sweep_key and sweep_values go together")
+        # a repeated item would name the same run directory twice
+        for name, items in (("seeds", self.seeds), ("sweep_values", self.sweep_values)):
+            if len(set(items)) != len(items):
+                raise ConfigError(name, "each item may appear only once")
 
 
 def parse_scenario_text(text: str, default_output: str = "out") -> ScenarioSpec:

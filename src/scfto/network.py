@@ -52,7 +52,7 @@ class SimState:
         self.streams = StreamFactory(config.seed)
         self.engine = FuzzyTrustEngine(config.trust_flc)
         self.total_debited_j = 0.0
-        self.deaths: list = []  # (round, node id)
+        self.deaths: list = []  # node ids, in order of death
 
     def position(self, endpoint) -> tuple:
         if endpoint == BS:
@@ -67,7 +67,7 @@ class SimState:
     def alive_nodes(self) -> list:
         return [n for n in self.nodes if n.alive]
 
-    def debit(self, node: NodeState, amount: float, round_idx: int) -> bool:
+    def debit(self, node: NodeState, amount: float) -> bool:
         """Charge energy; returns False when the node could not pay in full
         (the action fails silently and the node dies at zero)."""
         if amount < 0:
@@ -80,14 +80,8 @@ class SimState:
         if node.energy_j <= 0.0:
             node.energy_j = 0.0
             node.alive = False
-            self.deaths.append((round_idx, node.id))
+            self.deaths.append(node.id)
         return paid == amount
-
-    def energy_ledger_error(self) -> float:
-        """Relative imbalance of initial energy vs (debits + remaining)."""
-        initial = self.config.node_count * self.config.initial_energy_j
-        remaining = sum(n.energy_j for n in self.nodes)
-        return abs(initial - (self.total_debited_j + remaining)) / initial
 
 
 def apportion_tiers(total: int, mix) -> tuple:

@@ -79,28 +79,21 @@ def election_probability(node: NodeState, state: SimState) -> float:
     return term * p_x
 
 
-def _election_p(node: NodeState, config: SimConfig) -> float:
-    # malicious nodes mimic normal behavior at the fixed initial probability
-    return config.election.p0_init if node.malicious else node.p_ch
-
-
-def rotation_eligible(node: NodeState, config: SimConfig) -> bool:
+def rotation_eligible(node: NodeState) -> bool:
     """True when the node has never been head or sat out its whole window."""
     if node.rounds_since_head is None:
         return True
-    p = _election_p(node, config)
-    return node.rounds_since_head >= math.ceil(1.0 / p)
+    return node.rounds_since_head >= math.ceil(1.0 / node.p_ch)
 
 
-def should_elect(node: NodeState, round_idx: int, streams: StreamFactory,
-                 config: SimConfig) -> bool:
+def should_elect(node: NodeState, round_idx: int, streams: StreamFactory) -> bool:
     """Rotation-window eligibility plus the LEACH-style threshold draw.
 
     The node's `elect` stream is opened only once it is eligible, since an
     ineligible node draws nothing."""
-    if not rotation_eligible(node, config):
+    if not rotation_eligible(node):
         return False
-    p = _election_p(node, config)
+    p = node.p_ch
     period = 1.0 / p
     threshold = p / (1.0 - p * math.fmod(round_idx, period))
     return streams.stream("elect", node.id, round_idx).random() < threshold
@@ -219,16 +212,16 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
 
     # (2) election: self-elected heads broadcast across the whole field
     heads = [node.id for node in alive
-             if should_elect(node, round_idx, state.streams, config)]
+             if should_elect(node, round_idx, state.streams)]
     broadcast = tx_energy(radio, ctrl, config.field_diagonal_m)
     broadcast_ok = set()
     for head_id in heads:
-        if state.debit(state.nodes[head_id], broadcast, round_idx):
+        if state.debit(state.nodes[head_id], broadcast):
             broadcast_ok.add(head_id)
     for node in alive:
         heard = len(broadcast_ok) - (1 if node.id in broadcast_ok else 0)
         if heard > 0 and node.alive:
-            state.debit(node, heard * ctrl_rx, round_idx)
+            state.debit(node, heard * ctrl_rx)
     live_heads = sorted(h for h in broadcast_ok if state.nodes[h].alive)
 
     # (3) joining: non-heads pick a head and send a request with their
@@ -244,7 +237,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         if node.id in head_set or not node.alive:
             continue
         choice = choose_head(node, live_heads, state,
-                             eligible=rotation_eligible(node, config))
+                             eligible=rotation_eligible(node))
         if choice is None:
             continue
         if choice == SELF_DECLARE:
@@ -254,11 +247,11 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         trust_at_selection = node.trust.value_of(choice) or 0.0  # Unknown counts 0
         d = state.distance(node.id, choice)
         request = tx_energy(radio, ctrl, d)
-        state.debit(node, request, round_idx)
+        state.debit(node, request)
         if not node.alive:
             continue  # request never left the radio
         if head.alive:
-            state.debit(head, ctrl_rx, round_idx)
+            state.debit(head, ctrl_rx)
         if not head.alive:
             continue
         clusters[choice].append(node.id)
@@ -277,10 +270,10 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         for member_id in members:
             member = state.nodes[member_id]
             if head.alive:
-                state.debit(head, links[member_id][1], round_idx)
+                state.debit(head, links[member_id][1])
             if not head.alive or not member.alive:
                 continue
-            state.debit(member, ctrl_rx, round_idx)
+            state.debit(member, ctrl_rx)
             if not member.alive:
                 continue
             member.e_max = e_max
@@ -300,13 +293,12 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
             member = state.nodes[member_id]
             if not member.alive:
                 continue
-            sent = state.debit(member, tx_energy(radio, data_bits, links[member_id][0]),
-                               round_idx)
+            sent = state.debit(member, tx_energy(radio, data_bits, links[member_id][0]))
             if not sent:
                 continue  # died mid-transmission, packet lost
             action = None  # stays None when the head dies before forwarding
             if head.alive:
-                state.debit(head, data_rx, round_idx)
+                state.debit(head, data_rx)
             if head.alive:
                 action = head_action(head, attack_rng, config)
                 fate = action[0]
@@ -315,7 +307,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                 else:
                     if fate is Outcome.FORWARDED_DELAYED:
                         report.delay_attacks += 1
-                    if state.debit(head, uplink, round_idx):
+                    if state.debit(head, uplink):
                         report.packets_delivered += 1
                     else:
                         action = None
@@ -323,7 +315,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                 # the head died this round: timeout, but energy exhaustion
                 # is not malice, so no trust evidence
                 if member.alive:
-                    state.debit(member, timeout, round_idx)
+                    state.debit(member, timeout)
                 continue
             if not member.alive:
                 continue
@@ -331,8 +323,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                            if channel is ChannelState.BAD else None)
             outcome, duration, overheard = observe_forwarding(action, channel,
                                                               observe_rng, config)
-            state.debit(member, overhear_energy(radio, duration, data_bits, overheard),
-                        round_idx)
+            state.debit(member, overhear_energy(radio, duration, data_bits, overheard))
             record_event(member.trust, head_id, outcome)
 
     # (6) per-member trust inference, threshold detection, convergence, and
@@ -349,7 +340,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                 pass  # death-drops carry no evidence
             node.tracker.update(detect_threshold(node.trust.known_values(),
                                                  config.outlier))
-        if not node.malicious:
+        if not node.malicious:  # a malicious node keeps p0_init from deployment
             node.p_ch = election_probability(node, state)
 
     # (7) bookkeeping: head rotation windows, deaths, metrics
@@ -366,6 +357,6 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
     report.clusters = [(h, tuple(members)) for h, members in clusters.items()]
     report.malicious_cluster_count = sum(state.nodes[h].malicious for h in clusters)
     report.energy_spent_j = state.total_debited_j - energy_before
-    report.deaths = [node_id for r, node_id in state.deaths[deaths_before:]]
+    report.deaths = state.deaths[deaths_before:]
     report.alive_end = len(state.alive_nodes())
     return report

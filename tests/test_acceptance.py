@@ -14,8 +14,7 @@ import time
 import pytest
 
 from scfto.config import SimConfig
-from scfto.fuzzy import (FuzzyTrustEngine, WeightedEndpointList,
-                         reference_type_reduce, type_reduce)
+from scfto.fuzzy import FuzzyTrustEngine, WeightedEndpointList, type_reduce
 from scfto.metrics import MetricsAccumulator, run_to_files, simulate
 from scfto.network import NodeState, init_network
 from scfto.outlier import detect_threshold
@@ -23,6 +22,8 @@ from scfto.phy import ChannelState, sample_channel_state
 from scfto.protocol import head_action, run_round
 from scfto.rng import StreamFactory
 from scfto.trust import Outcome
+
+from oracles import energy_ledger_error, reference_type_reduce
 
 
 def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -118,7 +119,7 @@ def test_criterion_05_energy_ledger_and_crossover_distance():
     state = None
     for _, state in simulate(config):
         pass
-    err = state.energy_ledger_error()
+    err = energy_ledger_error(state)
     d0 = config.radio.d_0
     ok = err <= 1e-12 and abs(d0 - 87.706) <= 0.001
     verdict(5, "energy ledger balances; crossover distance matches",

@@ -1,4 +1,7 @@
 """Configuration records, validation, and the flat key-value file format."""
+import math
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,13 +50,13 @@ def test_retransmit_interval_is_half_listen_window():
 
 def test_attack_tier3_probability_budget():
     with pytest.raises(ConfigError):
-        AttackParams(p_sf=0.2, p_df=0.2).validate()
-    AttackParams(p_sf=0.1, p_df=0.1).validate()
+        SimConfig(attack=AttackParams(p_sf=0.2, p_df=0.2)).validate()
+    SimConfig(attack=AttackParams(p_sf=0.1, p_df=0.1)).validate()
 
 
 def test_election_bracket_ordering_enforced():
     with pytest.raises(ConfigError):
-        ElectionParams(p_ct=0.12, p_t=0.10).validate()
+        SimConfig(election=ElectionParams(p_ct=0.12, p_t=0.10)).validate()
 
 
 def test_tier_mix_must_sum_to_one():
@@ -206,8 +209,8 @@ def sim_configs(draw):
         channel=ChannelParams(draw(positive()), draw(positive())),
         effects=ChannelEffects(draw(unit()), draw(unit())),
         attack=AttackParams(p_sf, draw(st.floats(min_value=0.0, max_value=1 / 3 - p_sf))),
-        election=ElectionParams(draw(open_unit), p_ct, p_t, p_mt, p_dt, draw(unit()),
-                                draw(counts())),
+        election=ElectionParams(draw(open_unit), p_ct, p_t, p_mt, p_dt,
+                                draw(unit(exclude_max=True)), draw(counts())),
         join=JoinParams(draw(counts())),
         outlier=OutlierParams(draw(positive()), draw(open_unit), draw(positive()),
                               draw(counts())),
@@ -254,5 +257,53 @@ def test_base_station_position_keys():
 
 
 def test_validation_catches_nonpositive_energy():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         SimConfig(initial_energy_j=0.0).validate()
+    assert err.value.field == "e_0"
+
+
+DEFAULT_VALUES = dict(line.split(" = ", 1) for line in dump_config(SimConfig()).splitlines())
+
+
+@pytest.mark.parametrize("key", list(KEY_TABLE))
+def test_every_key_refuses_non_finite_values(key):
+    # put each bad token in place of each number of the key's default value:
+    # every element of a tuple and both coordinates of every breakpoint
+    parts = re.split(r"([,:])", DEFAULT_VALUES[key])
+    for i in range(0, len(parts), 2):
+        for bad in ("nan", "inf", "-inf"):
+            value = "".join(parts[:i] + [bad] + parts[i + 1:])
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(f"{key} = {value}\n")
+            assert err.value.field == key, value
+
+
+@pytest.mark.parametrize("cfg,key", [
+    (SimConfig(initial_energy_j=math.nan), "e_0"),
+    (SimConfig(initial_energy_j=math.inf), "e_0"),
+    (SimConfig(bs_position=(math.nan, 50.0)), "bs_x"),
+    (SimConfig(bs_position=(150.0, -math.inf)), "bs_y"),
+    (SimConfig(field_width_m=math.inf), "field_width_m"),
+    (SimConfig(tier_mix=(math.nan, 0.5, 0.5)), "tier_mix"),
+    (SimConfig(outlier=OutlierParams(t_nbr=math.nan)), "t_nbr"),
+    (SimConfig(election=ElectionParams(p0_init=2.0)), "p_0"),
+    # eta = 1 zeroes the election probability of a member at its cluster's
+    # energy minimum, and the rotation window divides by it
+    (SimConfig(election=ElectionParams(eta=1.0)), "eta"),
+])
+def test_python_built_configs_are_checked_by_file_key(cfg, key):
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert err.value.field == key
+
+
+def test_controller_refuses_non_finite_breakpoints_and_triangles():
+    low = FLCConfig().dfd_sets["low"]
+    with pytest.raises(ConfigError) as err:
+        FLCConfig(dfd_sets={**FLCConfig().dfd_sets, "low": {
+            **low, "umf": ((0.0, 1.0), (math.nan, 1.0), (0.5, 0.0))}}).validate()
+    assert err.value.field == "flc_dfd_low_umf"
+    with pytest.raises(ConfigError) as err:
+        FLCConfig(trust_sets={**FLCConfig().trust_sets,
+                              "trust": (0.6, 0.8, math.inf)}).validate()
+    assert err.value.field == "flc_trust_trust"

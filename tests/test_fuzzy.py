@@ -14,9 +14,10 @@ from scfto.fuzzy import (
     build_endpoint_list,
     consequent_entries,
     fire_rule,
-    reference_type_reduce,
     type_reduce,
 )
+
+from oracles import reference_type_reduce
 
 
 @pytest.fixture(scope="module")

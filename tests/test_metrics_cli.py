@@ -219,6 +219,24 @@ def test_cli_bad_config_is_error_code_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,key", [
+    ("e_0 = nan", "e_0"),
+    ("t_nbr = nan", "t_nbr"),
+    ("field_width_m = inf", "field_width_m"),
+    ("tier_mix = nan,0.5,0.5", "tier_mix"),
+    ("bs_x = nan", "bs_x"),
+    ("eta = 1.0", "eta"),
+    ("p_0 = 2", "p_0"),
+])
+def test_cli_bad_value_names_its_key_and_writes_nothing(tmp_path, capsys, line, key):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"node_count = 20\nrounds = 30\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert f"configuration error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_lower_membership_above_upper_is_error_code_2(tmp_path, capsys):
     cfg_file = tmp_path / "fou.cfg"
     cfg_file.write_text("node_count = 5\nrounds = 2\nflc_dfd_low_umf = 0.5:0.0\n")
@@ -280,3 +298,16 @@ def test_cli_sweep_any_config_key(tmp_path, capsys):
         assert sweep(bad, tmp_path / "bad") == 2
         assert not (tmp_path / "bad").exists()
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines", ["seeds = 1,1\n",
+                                   "seeds = 1\nsweep_key = n_nch\nsweep_values = 1,1\n"])
+def test_cli_sweep_refuses_repeated_items(tmp_path, capsys, lines):
+    # each repeat would write the same run directory twice
+    cfg_file = tmp_path / "tiny.cfg"
+    cfg_file.write_text("node_count = 8\nrounds = 3\n")
+    spec_file = tmp_path / "sweep.spec"
+    spec_file.write_text(f"config = {cfg_file}\n{lines}")
+    assert main(["sweep", str(spec_file), "--out", str(tmp_path / "sw")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()

@@ -8,6 +8,8 @@ from scfto.network import init_network
 from scfto.phy import ChannelState, overhear_energy, rx_energy, sample_channel_state, tx_energy
 from scfto.protocol import run_round
 
+from oracles import energy_ledger_error
+
 
 RADIO = RadioParams()
 
@@ -80,16 +82,16 @@ def test_energy_ledger_closes_over_a_run():
     state = init_network(cfg)
     for r in range(cfg.rounds):
         run_round(state, r)
-    assert state.energy_ledger_error() <= 1e-12
+    assert energy_ledger_error(state) <= 1e-12
 
 
 def test_dead_node_transmission_not_delivered():
     cfg = SimConfig(node_count=10, rounds=1, seed=3)
     state = init_network(cfg)
     node = state.nodes[0]
-    state.debit(node, node.energy_j - 1e-7, round_idx=0)
-    paid_in_full = state.debit(node, 2.25e-4, round_idx=0)
+    state.debit(node, node.energy_j - 1e-7)
+    paid_in_full = state.debit(node, 2.25e-4)
     assert not paid_in_full
     assert node.energy_j == 0.0
     assert not node.alive
-    assert state.energy_ledger_error() <= 1e-12
+    assert energy_ledger_error(state) <= 1e-12

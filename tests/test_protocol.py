@@ -15,6 +15,8 @@ from scfto.protocol import (SELF_DECLARE, VOUCH_LEVEL, VOUCH_MIN_EVIDENCE,
                             rotation_eligible, run_round, should_elect)
 from scfto.trust import Outcome
 
+from oracles import energy_ledger_error
+
 
 class StubRng:
     """random.Random stand-in feeding scripted uniform draws."""
@@ -54,8 +56,8 @@ def test_leach_threshold_formula():
     r = 5
     threshold = p / (1.0 - p * math.fmod(r, 1.0 / p))
     eps = 1e-12
-    assert should_elect(node, r, StubStreams([threshold - eps]), state.config)
-    assert not should_elect(node, r, StubStreams([threshold + eps]), state.config)
+    assert should_elect(node, r, StubStreams([threshold - eps]))
+    assert not should_elect(node, r, StubStreams([threshold + eps]))
 
 
 def test_rotation_window_blocks_recent_heads():
@@ -63,19 +65,19 @@ def test_rotation_window_blocks_recent_heads():
     node = state.nodes[0]
     window = math.ceil(1.0 / node.p_ch)
     node.rounds_since_head = window - 1
-    assert not rotation_eligible(node, state.config)
+    assert not rotation_eligible(node)
     streams = StubStreams([0.0])
-    assert not should_elect(node, 0, streams, state.config)
+    assert not should_elect(node, 0, streams)
     assert streams.opened == []  # no stream for an ineligible node
     node.rounds_since_head = window
-    assert rotation_eligible(node, state.config)
+    assert rotation_eligible(node)
 
 
 def test_never_head_is_always_eligible():
     state = small_state()
     node = state.nodes[0]
     node.rounds_since_head = None
-    assert rotation_eligible(node, state.config)
+    assert rotation_eligible(node)
 
 
 def test_election_probability_no_history_is_p0():
@@ -341,7 +343,7 @@ def test_round_report_invariants():
         assert rep.round_idx == r
         assert rep.malicious_cluster_count <= len(rep.clusters)
         assert rep.alive_end == len(state.alive_nodes())
-        assert state.energy_ledger_error() <= 1e-12
+        assert energy_ledger_error(state) <= 1e-12
         member_ids = [m for _, members in rep.clusters for m in members]
         assert len(member_ids) == len(set(member_ids))  # one cluster each
         for h, members in rep.clusters:
@@ -363,7 +365,7 @@ def test_cluster_members_are_in_slot_order():
 def test_dead_network_round_is_empty():
     state = small_state(n=5, seed=2)
     for node in state.nodes:
-        state.debit(node, node.energy_j, round_idx=0)
+        state.debit(node, node.energy_j)
     rep = run_round(state, 1)
     assert rep.alive_end == 0
     assert rep.heads == [] and rep.clusters == []
@@ -412,7 +414,7 @@ def test_elect_streams_open_for_eligible_nodes_only():
     saw_ineligible = False
     for r in range(20):
         alive = state.alive_nodes()
-        eligible = sum(rotation_eligible(node, state.config) for node in alive)
+        eligible = sum(rotation_eligible(node) for node in alive)
         saw_ineligible |= eligible < len(alive)
         before = state.streams.opened["elect"]
         run_round(state, r)
