@@ -226,6 +226,8 @@ class SimConfig:
     def validate(self) -> None:
         """Check every key against its `KEY_TABLE` row, then the rules that
         tie keys together."""
+        if not (isinstance(self.bs_position, tuple) and len(self.bs_position) == 2):
+            raise ConfigError("bs_x", "bs_position must be a pair (bs_x, bs_y)")
         for key, (path, _, _, check) in KEY_TABLE.items():
             if check is not None and not check[0](reduce(_get, path, self)):
                 raise ConfigError(key, check[1])
@@ -303,7 +305,10 @@ _POSITIVE = (lambda v: 0.0 < v < math.inf, "must be finite and strictly positive
 _FINITE = (math.isfinite, "must be finite")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0,1]")
 _OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in (0,1)")
-_COUNT = (lambda v: v >= 1, "must be >= 1")
+# every _INT row checks the type, since a Python-built config can hold a
+# float where a file can only hold an integer
+_INTEGER = (lambda v: isinstance(v, int), "must be an integer")
+_COUNT = (lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
 _RATIOS = (lambda t: len(t) == 3 and all(r >= 0.0 for r in t) and abs(sum(t) - 1.0) <= 1e-9,
            "must be three nonnegative ratios summing to 1 within 1e-9")
 _CHANNELS = (lambda v: v in (None, "good", "bad"), "must be 'good', 'bad', or unset")
@@ -330,7 +335,7 @@ KEY_TABLE = {
         *_keys("", _INT, _COUNT, "data_packet_bits", "control_packet_bits"),
         ("e_0", "initial_energy_j", _FLOAT, _POSITIVE),
         *_keys("", _INT, _COUNT, "rounds", "cycle_len_rounds"),
-        ("seed", "seed", _INT, None),
+        ("seed", "seed", _INT, _INTEGER),
         ("force_channel", "force_channel", _CHANNEL, _CHANNELS),
         *_keys("radio.", _FLOAT, _POSITIVE, "e_elec", "eps_fs", "eps_amp", "e_da", "e_h",
                "e_m", "d_m_s"),

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .config import SimConfig
 from .network import BS, NodeState, SimState
@@ -31,10 +32,11 @@ def recommendation_items(head) -> list:
     standard: vouching above VOUCH_LEVEL requires at least
     VOUCH_MIN_EVIDENCE observed forwarding attempts, so a lucky streak
     of two or three clean forwards cannot launder a saboteur's
-    reputation across the network.
+    reputation across the network.  The list keeps the table's order,
+    since each observed id appears once and the merge is per id.
     """
     out = []
-    for observed, ent in sorted(head.trust.entries.items()):
+    for observed, ent in head.trust.entries.items():
         if ent.value is None or ent.counters.total_forwarding <= 0:
             continue
         if ent.value >= VOUCH_LEVEL and ent.counters.total_forwarding < VOUCH_MIN_EVIDENCE:
@@ -99,23 +101,32 @@ def should_elect(node: NodeState, round_idx: int, streams: StreamFactory) -> boo
     return streams.stream("elect", node.id, round_idx).random() < threshold
 
 
-def choose_head(node: NodeState, heads: list, state: SimState, eligible: bool):
-    """Pick a head among the nearest candidates.
+def choose_head(node: NodeState, heads: list, positions: list, state: SimState,
+                eligible: bool):
+    """Pick a head among the `n_nch` nearest candidates.
 
-    `heads` is a list of head ids.  Pre-convergence the node explores
-    Unknown candidates first (nearest wins), then the best Known trust
-    (nearest wins a tie).  Post-convergence it wants the nearest candidate
-    at or above its own detected threshold, falls back to Unknown, and
-    otherwise self-declares when eligible or idles.  Returns a head id,
-    SELF_DECLARE, or None.
+    `heads` is a list of head ids in ascending order and `positions` holds
+    their positions in the same order; the ascending ids make the first of
+    equally near heads the lowest id, so candidates rank by distance, then
+    id.  Pre-convergence the node explores Unknown candidates first
+    (nearest wins), then the best Known trust (nearest wins a tie).
+    Post-convergence it wants the nearest candidate at or above its own
+    detected threshold, falls back to Unknown, and otherwise self-declares
+    when eligible or idles.  Returns a head id, SELF_DECLARE, or None.
     """
-    pos = node.position
-    nodes = state.nodes
-    # math.dist goes through the same vector norm as SimState.distance's
-    # hypot, so the ranking is exactly the one by that distance, then id
-    ranked = sorted([(math.dist(pos, nodes[h].position), h) for h in heads])
+    if len(heads) <= 1:  # nothing to rank, as in 40 % of `default` rounds
+        nearest = heads
+    else:
+        # math.dist goes through the same vector norm as SimState.distance's
+        # hypot, so the ranking is exactly the one by that distance
+        dists = list(map(math.dist, repeat(node.position), positions))
+        nearest = []
+        for _ in range(min(state.config.join.n_nch, len(heads))):
+            i = dists.index(min(dists))  # the first minimum has the lowest id
+            dists[i] = math.inf  # taken
+            nearest.append(heads[i])
     # (trust or None while Unknown, head id), nearest first
-    trusts = [(node.trust.value_of(h), h) for _, h in ranked[:state.config.join.n_nch]]
+    trusts = [(node.trust.value_of(h), h) for h in nearest]
     converged = node.tracker.converged
     if converged:
         t_th = node.tracker.last_t_th
@@ -223,6 +234,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         if heard > 0 and node.alive:
             state.debit(node, heard * ctrl_rx)
     live_heads = sorted(h for h in broadcast_ok if state.nodes[h].alive)
+    head_positions = [state.nodes[h].position for h in live_heads]
 
     # (3) joining: non-heads pick a head and send a request with their
     # residual energy; an unservable node may self-declare.  Members join
@@ -236,7 +248,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
     for node in alive:
         if node.id in head_set or not node.alive:
             continue
-        choice = choose_head(node, live_heads, state,
+        choice = choose_head(node, live_heads, head_positions, state,
                              eligible=rotation_eligible(node))
         if choice is None:
             continue

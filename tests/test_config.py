@@ -19,6 +19,7 @@ from scfto.config import (
     PiecewiseLinearMF,
     RadioParams,
     SimConfig,
+    _set_path,
     dump_config,
     parse_config_text,
 )
@@ -290,6 +291,11 @@ def test_every_key_refuses_non_finite_values(key):
     # eta = 1 zeroes the election probability of a member at its cluster's
     # energy minimum, and the rotation window divides by it
     (SimConfig(election=ElectionParams(eta=1.0)), "eta"),
+    # integer keys refuse a float, and the base station is a pair
+    *[(_set_path(SimConfig(), path, 2.5), key)
+      for key, (path, parse, _, _) in KEY_TABLE.items() if parse is int],
+    (SimConfig(bs_position=(1.0, 2.0, 3.0)), "bs_x"),
+    (SimConfig(bs_position=(1.0,)), "bs_x"),
 ])
 def test_python_built_configs_are_checked_by_file_key(cfg, key):
     with pytest.raises(ConfigError) as err:

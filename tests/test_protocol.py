@@ -2,20 +2,23 @@
 recommendation policy, and whole-round invariants."""
 import math
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scfto.config import SimConfig
-from scfto.network import NodeState, init_network
+from scfto.config import JoinParams, SimConfig
+from scfto.network import NodeState, SimState, init_network
+from scfto.outlier import ConvergenceTracker
 from scfto.phy import ChannelState
 from scfto.rng import StreamFactory
 from scfto.protocol import (SELF_DECLARE, VOUCH_LEVEL, VOUCH_MIN_EVIDENCE,
                             choose_head, election_probability, head_action,
                             observe_forwarding, recommendation_items,
                             rotation_eligible, run_round, should_elect)
-from scfto.trust import Outcome
+from scfto.trust import Outcome, TrustTable
 
-from oracles import energy_ledger_error
+from oracles import energy_ledger_error, reference_choose_head
 
 
 class StubRng:
@@ -128,13 +131,19 @@ def heads_by_distance(state, node):
                   key=lambda h: state.distance(node.id, h))
 
 
+def candidates(state, heads):
+    """`choose_head`'s head ids in ascending order and their positions."""
+    heads = sorted(heads)
+    return heads, [state.nodes[h].position for h in heads]
+
+
 def test_choose_head_preconvergence_unknown_first():
     state = small_state()
     node = state.nodes[0]
     ranked = heads_by_distance(state, node)[: state.config.join.n_nch]
     # give the nearest candidate a Known value; second-nearest stays Unknown
     node.trust.entry(ranked[0]).value = 1.0
-    assert choose_head(node, ranked, state, eligible=True) == ranked[1]
+    assert choose_head(node, *candidates(state, ranked), state, eligible=True) == ranked[1]
 
 
 def test_choose_head_preconvergence_best_known():
@@ -143,25 +152,27 @@ def test_choose_head_preconvergence_best_known():
     ranked = heads_by_distance(state, node)[: state.config.join.n_nch]
     for i, h in enumerate(ranked):
         node.trust.entry(h).value = 0.2 + 0.1 * i
-    assert choose_head(node, ranked, state, eligible=True) == ranked[-1]
+    assert choose_head(node, *candidates(state, ranked), state, eligible=True) == ranked[-1]
 
 
 def test_choose_head_preconvergence_tie_goes_to_the_nearer():
     state = small_state()
     node = state.nodes[0]
-    ranked = heads_by_distance(state, node)[: state.config.join.n_nch]
-    assert len(ranked) == 2
-    for h in ranked:
+    assert state.config.join.n_nch == 2
+    # a nearer head with the higher id, so the id order puts it second
+    near, far = next((a, b) for a, b in combinations(heads_by_distance(state, node), 2)
+                     if a > b)
+    for h in (near, far):
         node.trust.entry(h).value = 0.7
-    # the head list arrives farthest first; the nearer still wins the tie
-    assert choose_head(node, ranked[::-1], state, eligible=True) == ranked[0]
+    assert choose_head(node, *candidates(state, [near, far]), state,
+                       eligible=True) == near
 
 
 def test_choose_head_no_candidates_self_declares_when_eligible():
     state = small_state()
     node = state.nodes[0]
-    assert choose_head(node, [], state, eligible=True) == SELF_DECLARE
-    assert choose_head(node, [], state, eligible=False) is None
+    assert choose_head(node, [], [], state, eligible=True) == SELF_DECLARE
+    assert choose_head(node, [], [], state, eligible=False) is None
 
 
 def test_choose_head_postconvergence_threshold():
@@ -173,7 +184,7 @@ def test_choose_head_postconvergence_threshold():
     node.trust.entry(ranked[0]).value = 0.5   # below threshold
     node.trust.entry(ranked[1]).value = 0.85  # first acceptable
     node.trust.entry(ranked[2]).value = 0.99
-    assert choose_head(node, ranked, state, eligible=True) == ranked[1]
+    assert choose_head(node, *candidates(state, ranked), state, eligible=True) == ranked[1]
 
 
 def test_choose_head_postconvergence_falls_back_to_unknown():
@@ -184,7 +195,7 @@ def test_choose_head_postconvergence_falls_back_to_unknown():
     ranked = heads_by_distance(state, node)[:2]
     node.trust.entry(ranked[0]).value = 0.5  # below threshold
     # ranked[1] Unknown -> explored
-    assert choose_head(node, ranked, state, eligible=True) == ranked[1]
+    assert choose_head(node, *candidates(state, ranked), state, eligible=True) == ranked[1]
 
 
 def test_choose_head_postconvergence_all_bad_self_declares():
@@ -195,8 +206,47 @@ def test_choose_head_postconvergence_all_bad_self_declares():
     ranked = heads_by_distance(state, node)[:2]
     for h in ranked:
         node.trust.entry(h).value = 0.1
-    assert choose_head(node, ranked, state, eligible=True) == SELF_DECLARE
-    assert choose_head(node, ranked, state, eligible=False) is None
+    assert choose_head(node, *candidates(state, ranked), state, eligible=True) == SELF_DECLARE
+    assert choose_head(node, *candidates(state, ranked), state, eligible=False) is None
+
+
+_levels = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def head_fields(draw):
+    """A node position and up to 40 heads in ascending id order with their
+    positions.  Coordinates are integers and the heads sit on a few offsets
+    from the node with random signs, so distances often tie exactly."""
+    x0, y0 = draw(st.integers(0, 100)), draw(st.integers(0, 100))
+    heads = sorted(draw(st.sets(st.integers(1, 400), max_size=40)))
+    offsets = draw(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+                            min_size=1, max_size=4))
+    sign = st.sampled_from((1, -1))
+    positions = []
+    for _ in heads:
+        dx, dy = draw(st.sampled_from(offsets))
+        positions.append((float(x0 + draw(sign) * dx), float(y0 + draw(sign) * dy)))
+    return (float(x0), float(y0)), heads, positions
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=head_fields(), data=st.data())
+def test_choose_head_matches_the_sort_based_reference(field, data):
+    position, heads, positions = field
+    n_nch = data.draw(st.integers(1, len(heads) + 2))
+    state = SimState(SimConfig(join=JoinParams(n_nch=n_nch)), [])
+    node = NodeState(id=0, position=position, energy_j=1.0, trust=TrustTable(0),
+                     tracker=ConvergenceTracker(th_d=0.05, n_s=60))
+    for h in heads:
+        value = data.draw(st.one_of(st.none(), _levels))  # None is Unknown
+        if value is not None or data.draw(st.booleans()):  # with or without an entry
+            node.trust.entry(h).value = value
+    node.tracker.converged = data.draw(st.booleans())
+    node.tracker.last_t_th = data.draw(_levels)
+    eligible = data.draw(st.booleans())
+    assert (choose_head(node, heads, positions, state, eligible)
+            == reference_choose_head(node, heads, positions, state, eligible))
 
 
 # -------------------------------------------------------------- head_action

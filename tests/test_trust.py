@@ -202,3 +202,29 @@ def test_merge_fans_out_like_single_merges(priors, recommendations, t_head):
     # bit-for-bit what folding the items one at a time gives
     assert after == fold_one_by_one(before, recommendations, owner, t_head)
     assert all(v is None or 0.0 <= v <= 1.0 for v in after.values())
+
+
+@st.composite
+def recommendation_lists(draw):
+    """A head's recommendation list (each observed id once) and a shuffle."""
+    observed = draw(st.lists(st.integers(0, 8), unique=True, max_size=9))
+    items = [(o, draw(_trust)) for o in observed]
+    return items, draw(st.permutations(items))
+
+
+@settings(max_examples=300, deadline=None)
+@given(priors=st.dictionaries(st.integers(1, 8), st.one_of(st.none(), _trust),
+                              max_size=8),
+       lists=recommendation_lists(),
+       t_head=_trust)
+def test_merge_does_not_depend_on_recommendation_order(priors, lists, t_head):
+    items, shuffled = lists
+    tables = []
+    for recommendations in (items, shuffled):
+        t = TrustTable(owner=0)
+        for observed, value in priors.items():
+            t.entry(observed).value = value
+            t.entry(observed).counters.record(Outcome.FORWARDED)
+        merge_recommendation(t, recommendations, t_head)
+        tables.append(t)
+    assert tables[0].entries == tables[1].entries
