@@ -160,6 +160,7 @@ class FLCConfig:
     dfr_bypass: float = 0.2  # below this forwarding rate, trust is hard 0
 
     def validate(self) -> None:
+        umfs = {"dfd": {}, "dfr": {}}  # var -> label -> UMF, for the coverage check
         for var, sets in (("dfd", self.dfd_sets), ("dfr", self.dfr_sets)):
             for label in ("low", "medium", "high"):
                 if label not in sets:
@@ -170,15 +171,15 @@ class FLCConfig:
                     if not xs:
                         raise ConfigError(f"flc_{var}_{label}_{kind}",
                                           "needs at least one breakpoint")
-                    if not all(map(math.isfinite, xs)):
+                    if not _holds(all, map(math.isfinite, xs)):
                         raise ConfigError(f"flc_{var}_{label}_{kind}",
-                                          "breakpoint x values must be finite")
+                                          "breakpoint x values must be finite numbers")
                     if xs != sorted(xs) or len(set(xs)) != len(xs):
                         raise ConfigError(f"flc_{var}_{label}_{kind}",
                                           "breakpoint x values must be strictly increasing")
-                    if any(not 0.0 <= g <= 1.0 for _, g in pts):
+                    if not _holds(all, (_UNIT[0](g) for _, g in pts)):
                         raise ConfigError(f"flc_{var}_{label}_{kind}",
-                                          "grades must lie in [0,1]")
+                                          "grades must be numbers in [0,1]")
                 umf, lmf = (PiecewiseLinearMF(tuple(sets[label][kind]))
                             for kind in ("umf", "lmf"))
                 # both are linear between neighbouring points of this set, so
@@ -189,14 +190,28 @@ class FLCConfig:
                     if lmf(x) > umf(x):
                         raise ConfigError(f"flc_{var}_{label}_lmf",
                                           f"lower membership exceeds upper at x={x!r}")
+                umfs[var][label] = umf
         for label in TRUST_LABELS:
             if label not in self.trust_sets:
                 raise ConfigError(f"flc_trust_{label}", "missing trust set")
-            a, c, b = self.trust_sets[label]
-            if not -math.inf < a <= c <= b < math.inf:
-                raise ConfigError(f"flc_trust_{label}", "need finite a <= c <= b")
-        if not 0.0 <= self.dfr_bypass <= 1.0:
+            if not _holds(lambda t: len(t) == 3 and -math.inf < t[0] <= t[1] <= t[2] < math.inf,
+                          self.trust_sets[label]):
+                raise ConfigError(f"flc_trust_{label}", "need three finite numbers a <= c <= b")
+        if not _holds(_UNIT[0], self.dfr_bypass):
             raise ConfigError("dfr_bypass", "must lie in [0,1]")
+        # some rule must fire wherever the engine infers: dfd in [0,1] and dfr
+        # in [dfr_bypass,1].  The UMFs are linear between their breakpoints,
+        # so checking those and both ends is exact; a breakpoint listed with
+        # a grade above 0 is covered by its own set.
+        for var, start in (("dfd", 0.0), ("dfr", self.dfr_bypass)):
+            sets = umfs[var]
+            covered = {x for umf in sets.values() for x, g in umf.points if g > 0.0}
+            for x in sorted({start, 1.0, *(x for umf in sets.values() for x, _ in umf.points
+                                           if start < x < 1.0)} - covered):
+                if not any(umf(x) > 0.0 for umf in sets.values()):
+                    near = min(sets, key=lambda k: min(abs(bx - x) for bx, _ in sets[k].points))
+                    raise ConfigError(f"flc_{var}_{near}_umf",
+                                      f"no upper membership is above 0 at x={x!r}")
 
 
 @dataclass(frozen=True)
@@ -229,8 +244,8 @@ class SimConfig:
         if not (isinstance(self.bs_position, tuple) and len(self.bs_position) == 2):
             raise ConfigError("bs_x", "bs_position must be a pair (bs_x, bs_y)")
         for key, (path, _, _, check) in KEY_TABLE.items():
-            if check is not None and not check[0](reduce(_get, path, self)):
-                raise ConfigError(key, check[1])
+            if check is not None and not _holds(check[0], value := reduce(_get, path, self)):
+                raise ConfigError(key, f"{check[1]}, got {value!r}")
         if 3 * self.attack.p_sf + 3 * self.attack.p_df > 1.0 + 1e-12:
             raise ConfigError("p_sf", "tier-3 action probabilities exceed 1: "
                                       "need 3*p_sf + 3*p_df <= 1")
@@ -299,6 +314,16 @@ _INT = (int, repr)
 _TUPLE3 = (_parse_tuple3, lambda t: ",".join(repr(v) for v in t))
 _BREAKPOINTS = (_parse_breakpoints, lambda pts: ",".join(f"{x!r}:{g!r}" for x, g in pts))
 _CHANNEL = (_parse_channel_force, lambda v: v or "none")
+
+
+def _holds(test, value) -> bool:
+    """`test(value)`, and False where the test meets a type it cannot
+    compare: a Python-built config can hold a string where a number goes."""
+    try:
+        return test(value)
+    except TypeError:
+        return False
+
 
 # row checks: (predicate, message), each written so that NaN fails it
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "must be finite and strictly positive")

@@ -24,7 +24,6 @@ class NoEvidenceError(ValueError):
 
 @dataclass(frozen=True)
 class IT2Set:
-    name: str
     umf: PiecewiseLinearMF
     lmf: PiecewiseLinearMF
 
@@ -43,7 +42,6 @@ class IT2Set:
 class T1TrustSet:
     """Triangular consequent set with support [a, b] and peak c."""
 
-    name: str
     a: float
     c: float
     b: float
@@ -65,24 +63,18 @@ class T1TrustSet:
         return 1.0
 
 
-@dataclass(frozen=True)
-class TrustRule:
-    dfd_label: str
-    dfr_label: str
-    trust_label: str
-
-
-# antecedent pairs for the nine inference rules (the bypass rule is separate)
+# (dfd label, dfr label, trust label) of the nine inference rules (the
+# bypass rule is separate)
 RULE_TABLE = (
-    TrustRule("low", "high", "complete_trust"),
-    TrustRule("medium", "high", "trust"),
-    TrustRule("high", "high", "medium_trust"),
-    TrustRule("low", "medium", "medium_trust"),
-    TrustRule("medium", "medium", "medium_distrust"),
-    TrustRule("high", "medium", "distrust"),
-    TrustRule("low", "low", "distrust"),
-    TrustRule("medium", "low", "intense_distrust"),
-    TrustRule("high", "low", "complete_distrust"),
+    ("low", "high", "complete_trust"),
+    ("medium", "high", "trust"),
+    ("high", "high", "medium_trust"),
+    ("low", "medium", "medium_trust"),
+    ("medium", "medium", "medium_distrust"),
+    ("high", "medium", "distrust"),
+    ("low", "low", "distrust"),
+    ("medium", "low", "intense_distrust"),
+    ("high", "low", "complete_distrust"),
 )
 
 
@@ -99,20 +91,15 @@ class WeightedEndpointList:
     right: list
 
 
-def fire_rule(dfd_interval: tuple, dfr_interval: tuple) -> tuple:
-    """Product t-norm firing interval from the two antecedent intervals."""
-    return dfd_interval[0] * dfr_interval[0], dfd_interval[1] * dfr_interval[1]
-
-
 def consequent_entries(trust_set: T1TrustSet, g_lo: float, g_hi: float,
-                       cut_lo: float | None = None) -> list:
+                       cut_lo: float) -> list:
     """Alpha-cut output interval(s) for one fired rule.
 
     Shoulder consequents give one interval cut at the lower firing grade
     `g_lo`.  Symmetric consequents split into two intervals, cut at
     `cut_lo` and at the upper grade, each carrying half the firing weight,
-    unless `cut_lo` is already 1 (degenerate peak cut).  `cut_lo` defaults
-    to `g_lo`; `FuzzyTrustEngine.endpoint_list` passes the lower grade
+    unless `cut_lo` is already 1 (degenerate peak cut).
+    `FuzzyTrustEngine.endpoint_list` passes as `cut_lo` the lower grade
     rescaled into the upper grades' normalization (see there).  Entries are
     (t_left, t_right, weight_lo, weight_hi) and are emitted even for zero
     firing so the endpoint count stays input-independent.
@@ -120,8 +107,6 @@ def consequent_entries(trust_set: T1TrustSet, g_lo: float, g_hi: float,
     if not trust_set.symmetric:
         tl, tr = trust_set.alpha_cut(g_lo)
         return [(tl, tr, g_lo, g_hi)]
-    if cut_lo is None:
-        cut_lo = g_lo
     if cut_lo >= _FULL_FIRING:
         return [(trust_set.c, trust_set.c, g_lo, g_hi)]
     cut_l = trust_set.alpha_cut(cut_lo)
@@ -155,14 +140,10 @@ def eiasc(points: list, before: int, pick) -> float:
     The classic early-termination stop assumes every entry's upper grade
     is at least its lower grade.  Independent normalization of the two
     grade lists can invert individual intervals, so the sweep visits every
-    switch point incrementally (ties break toward the smaller one).
+    switch point incrementally (ties break toward the smaller one).  One
+    point has no switch point and raises; the engine passes nine or more.
     """
     after = 3 - before
-    if len(points) == 1:
-        x, lo, hi = points[0]
-        if lo + hi <= 0.0:
-            raise NoEvidenceError("all grades are zero")
-        return x
     a = sum(p[0] * p[after] for p in points)
     b = sum(p[after] for p in points)
     quotients = []
@@ -190,11 +171,12 @@ class FuzzyTrustEngine:
         flc = flc if flc is not None else FLCConfig()
         flc.validate()
         self.flc = flc
-        self.dfd_sets = {label: _build_it2(label, spec)
-                         for label, spec in flc.dfd_sets.items()}
-        self.dfr_sets = {label: _build_it2(label, spec)
-                         for label, spec in flc.dfr_sets.items()}
-        self.trust_sets = {label: T1TrustSet(label, *flc.trust_sets[label])
+        self.dfd_sets, self.dfr_sets = (
+            {label: IT2Set(PiecewiseLinearMF(tuple(spec["umf"])),
+                           PiecewiseLinearMF(tuple(spec["lmf"])))
+             for label, spec in sets.items()}
+            for sets in (flc.dfd_sets, flc.dfr_sets))
+        self.trust_sets = {label: T1TrustSet(*flc.trust_sets[label])
                            for label in TRUST_LABELS}
         self._cache: dict = {}
 
@@ -215,16 +197,16 @@ class FuzzyTrustEngine:
         Shoulder consequents keep the plain `g_lo` cut, which already moves
         the cut the way the rule pulls trust.
         """
-        grades = []
-        for rule in RULE_TABLE:
-            interval_d = self.dfd_sets[rule.dfd_label].membership(dfd)
-            interval_r = self.dfr_sets[rule.dfr_label].membership(dfr)
-            grades.append(fire_rule(interval_d, interval_r))
+        d = {label: s.membership(dfd) for label, s in self.dfd_sets.items()}
+        r = {label: s.membership(dfr) for label, s in self.dfr_sets.items()}
+        # product t-norm firing interval of each rule
+        grades = [(d[d_label][0] * r[r_label][0], d[d_label][1] * r[r_label][1])
+                  for d_label, r_label, _ in RULE_TABLE]
         lo_sum = sum(g_lo for g_lo, _ in grades)
         scale = sum(g_hi for _, g_hi in grades) / lo_sum if lo_sum > 0.0 else 1.0
         entries = []
-        for rule, (g_lo, g_hi) in zip(RULE_TABLE, grades):
-            entries.extend(consequent_entries(self.trust_sets[rule.trust_label],
+        for (_, _, t_label), (g_lo, g_hi) in zip(RULE_TABLE, grades):
+            entries.extend(consequent_entries(self.trust_sets[t_label],
                                               g_lo, g_hi, min(g_hi, g_lo * scale)))
         return build_endpoint_list(entries)
 
@@ -256,9 +238,3 @@ class FuzzyTrustEngine:
                 best_grade = grade
                 best_label = label
         return best_label
-
-
-def _build_it2(label: str, spec: dict) -> IT2Set:
-    return IT2Set(name=label,
-                  umf=PiecewiseLinearMF(tuple(spec["umf"])),
-                  lmf=PiecewiseLinearMF(tuple(spec["lmf"])))

@@ -12,8 +12,6 @@ from .outlier import ConvergenceTracker
 from .rng import StreamFactory
 from .trust import TrustTable
 
-BS = "bs"  # base-station endpoint marker
-
 NORMAL = 0  # tier 0 is a normal node; tiers 1..3 are malicious
 
 
@@ -23,7 +21,7 @@ class NodeState:
     position: tuple
     energy_j: float
     tier: int = NORMAL
-    head_history: list = field(default_factory=list)  # (head id, trust at selection)
+    head_history: list = field(default_factory=list)  # trust at selection, last n_lch heads
     rounds_since_head: int | None = None  # None means "never been head"
     alive: bool = True
     p_ch: float = 0.07
@@ -37,11 +35,6 @@ class NodeState:
     def malicious(self) -> bool:
         return self.tier != NORMAL
 
-    def push_head(self, head_id: int, trust_at_selection: float, n_lch: int) -> None:
-        self.head_history.append((head_id, trust_at_selection))
-        if len(self.head_history) > n_lch:
-            del self.head_history[: len(self.head_history) - n_lch]
-
 
 class SimState:
     """Owns the nodes, the derived random streams, and the energy ledger."""
@@ -54,22 +47,17 @@ class SimState:
         self.total_debited_j = 0.0
         self.deaths: list = []  # node ids, in order of death
 
-    def position(self, endpoint) -> tuple:
-        if endpoint == BS:
-            return self.config.bs_position
-        return self.nodes[endpoint].position
-
-    def distance(self, a, b) -> float:
-        ax, ay = self.position(a)
-        bx, by = self.position(b)
-        return math.hypot(ax - bx, ay - by)
+    def distance(self, a: int, b: int) -> float:
+        """Distance between nodes `a` and `b`."""
+        return math.dist(self.nodes[a].position, self.nodes[b].position)
 
     def alive_nodes(self) -> list:
         return [n for n in self.nodes if n.alive]
 
     def debit(self, node: NodeState, amount: float) -> bool:
         """Charge energy; returns False when the node could not pay in full
-        (the action fails silently and the node dies at zero)."""
+        (the action fails silently and the node dies at zero).  A dead node
+        pays nothing and gets False; paying the last joule exactly is True."""
         if amount < 0:
             raise ValueError("debit amount must be nonnegative")
         if not node.alive:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .config import SimConfig
-from .network import BS, NodeState, SimState
+from .network import NodeState, SimState
 from .outlier import detect_threshold
 from .phy import ChannelState, overhear_energy, rx_energy, sample_channel_state, tx_energy
 from .rng import StreamFactory
@@ -66,7 +66,7 @@ def election_probability(node: NodeState, state: SimState) -> float:
     params = state.config.election
     if not node.head_history:
         return params.p0_init
-    avg = sum(t for _, t in node.head_history) / len(node.head_history)
+    avg = sum(node.head_history) / len(node.head_history)
     label = state.engine.classify_trust(avg)
     p_x = {
         "complete_trust": params.p_ct,
@@ -112,13 +112,14 @@ def choose_head(node: NodeState, heads: list, positions: list, state: SimState,
     (nearest wins), then the best Known trust (nearest wins a tie).
     Post-convergence it wants the nearest candidate at or above its own
     detected threshold, falls back to Unknown, and otherwise self-declares
-    when eligible or idles.  Returns a head id, SELF_DECLARE, or None.
+    when eligible or idles.  Returns a head id, SELF_DECLARE, or None;
+    `run_round` says what a self-declared head does.
     """
     if len(heads) <= 1:  # nothing to rank, as in 40 % of `default` rounds
         nearest = heads
     else:
-        # math.dist goes through the same vector norm as SimState.distance's
-        # hypot, so the ranking is exactly the one by that distance
+        # math.dist is SimState.distance, so the ranking is exactly the one
+        # by that distance
         dists = list(map(math.dist, repeat(node.position), positions))
         nearest = []
         for _ in range(min(state.config.join.n_nch, len(heads))):
@@ -195,7 +196,11 @@ def observe_forwarding(action: tuple, channel: ChannelState,
 
 
 def run_round(state: SimState, round_idx: int) -> RoundReport:
-    """Execute one protocol round and report what happened."""
+    """Execute one protocol round and report what happened.
+
+    A self-declared head (a node with no head it will join, eligible to
+    lead) counts in `report.heads` and restarts its rotation window, but it
+    never broadcasts, hosts members or pays energy for its headship."""
     config = state.config
     energy_before = state.total_debited_j
     deaths_before = len(state.deaths)
@@ -231,7 +236,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
             broadcast_ok.add(head_id)
     for node in alive:
         heard = len(broadcast_ok) - (1 if node.id in broadcast_ok else 0)
-        if heard > 0 and node.alive:
+        if heard > 0:
             state.debit(node, heard * ctrl_rx)
     live_heads = sorted(h for h in broadcast_ok if state.nodes[h].alive)
     head_positions = [state.nodes[h].position for h in live_heads]
@@ -242,7 +247,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
     # cluster sends in slot i.  Distance is symmetric, so a member's
     # request cost is also its head's acceptance cost.
     clusters: dict = {h: [] for h in live_heads}  # head id -> member ids
-    links: dict = {}  # member id -> (distance to its head, request energy)
+    links: dict = {}  # member id -> (head id, distance to it, request energy)
     self_declared: list = []
     head_set = set(heads)
     for node in alive:
@@ -262,13 +267,13 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         state.debit(node, request)
         if not node.alive:
             continue  # request never left the radio
-        if head.alive:
-            state.debit(head, ctrl_rx)
+        state.debit(head, ctrl_rx)
         if not head.alive:
             continue
         clusters[choice].append(node.id)
-        links[node.id] = (d, request)
-        node.push_head(choice, trust_at_selection, config.election.n_lch)
+        links[node.id] = (choice, d, request)
+        node.head_history.append(trust_at_selection)
+        del node.head_history[:-config.election.n_lch]
     clusters = {h: members for h, members in clusters.items() if members}
 
     # (4) acceptance messages with the residual-energy extremes of the
@@ -281,8 +286,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         recommendations = recommendation_items(head)
         for member_id in members:
             member = state.nodes[member_id]
-            if head.alive:
-                state.debit(head, links[member_id][1])
+            state.debit(head, links[member_id][2])
             if not head.alive or not member.alive:
                 continue
             state.debit(member, ctrl_rx)
@@ -300,17 +304,14 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         head = state.nodes[head_id]
         attack_rng = (state.streams.stream("attack", head_id, round_idx)
                       if head.malicious else None)
-        uplink = tx_energy(radio, data_bits, state.distance(head_id, BS))
+        uplink = tx_energy(radio, data_bits, math.dist(head.position, config.bs_position))
         for member_id in members:
             member = state.nodes[member_id]
-            if not member.alive:
-                continue
-            sent = state.debit(member, tx_energy(radio, data_bits, links[member_id][0]))
+            sent = state.debit(member, tx_energy(radio, data_bits, links[member_id][1]))
             if not sent:
-                continue  # died mid-transmission, packet lost
+                continue  # dead, or died mid-transmission: packet lost
             action = None  # stays None when the head dies before forwarding
-            if head.alive:
-                state.debit(head, data_rx)
+            state.debit(head, data_rx)
             if head.alive:
                 action = head_action(head, attack_rng, config)
                 fate = action[0]
@@ -326,8 +327,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
             if action is None:
                 # the head died this round: timeout, but energy exhaustion
                 # is not malice, so no trust evidence
-                if member.alive:
-                    state.debit(member, timeout)
+                state.debit(member, timeout)
                 continue
             if not member.alive:
                 continue
@@ -340,14 +340,13 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
 
     # (6) per-member trust inference, threshold detection, convergence, and
     # the next round's election probability
-    members_of = {m: h for h, members in clusters.items() for m in members}
     for node in state.nodes:
         if not node.alive:
             continue
-        head_id = members_of.get(node.id)
-        if head_id is not None:
+        link = links.get(node.id)
+        if link is not None:
             try:
-                update_direct_trust(node.trust, state.engine, head_id)
+                update_direct_trust(node.trust, state.engine, link[0])
             except NoEvidence:
                 pass  # death-drops carry no evidence
             node.tracker.update(detect_threshold(node.trust.known_values(),

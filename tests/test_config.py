@@ -1,6 +1,7 @@
 """Configuration records, validation, and the flat key-value file format."""
 import math
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from scfto.config import (
     PiecewiseLinearMF,
     RadioParams,
     SimConfig,
+    _finite,
     _set_path,
     dump_config,
     parse_config_text,
@@ -185,16 +187,18 @@ def sim_configs(draw):
     open_unit = unit(exclude_min=True, exclude_max=True)
     p_ct, p_t, p_mt, p_dt = draw(increasing(4, open_unit))
 
-    def breakpoints():
+    def breakpoints(grades):
         xs = draw(increasing(draw(st.integers(1, 4)), unit()))
-        return tuple((x, draw(unit())) for x in xs)
+        return tuple((x, draw(grades)) for x in xs)
 
     def antecedents():
         # a scaled-down copy of the upper MF lies at or below it at every
-        # breakpoint, which is where validation compares the two
+        # breakpoint, which is where validation compares the two; one UMF
+        # with every grade above 0 covers [0,1], as validation requires
         sets = {}
+        covering = draw(st.sampled_from(("low", "medium", "high")))
         for label in ("low", "medium", "high"):
-            umf = breakpoints()
+            umf = breakpoints(unit(exclude_min=label == covering))
             scale = draw(unit())
             sets[label] = {"umf": umf, "lmf": tuple((x, g * scale) for x, g in umf)}
         return sets
@@ -296,6 +300,20 @@ def test_every_key_refuses_non_finite_values(key):
       for key, (path, parse, _, _) in KEY_TABLE.items() if parse is int],
     (SimConfig(bs_position=(1.0, 2.0, 3.0)), "bs_x"),
     (SimConfig(bs_position=(1.0,)), "bs_x"),
+    # a string where a number goes: every float key, a ratio, a breakpoint
+    # coordinate and a triangle corner
+    *[(_set_path(SimConfig(), path, DEFAULT_VALUES[key]), key)
+      for key, (path, parse, _, _) in KEY_TABLE.items() if parse is _finite],
+    (SimConfig(tier_mix=("a", 0.5, 0.5)), "tier_mix"),
+    (_set_path(SimConfig(), KEY_TABLE["flc_dfd_low_umf"][0],
+               (("0", 1.0), (0.2, 1.0), (0.5, 0.0))), "flc_dfd_low_umf"),
+    (_set_path(SimConfig(), KEY_TABLE["flc_dfr_high_lmf"][0],
+               ((0.6, 0.0), (0.9, "1"), (1.0, 1.0))), "flc_dfr_high_lmf"),
+    (_set_path(SimConfig(), KEY_TABLE["flc_trust_trust"][0], (0.6, "0.8", 1.0)),
+     "flc_trust_trust"),
+    # and a triangle with four corners
+    (_set_path(SimConfig(), KEY_TABLE["flc_trust_trust"][0], (0.6, 0.8, 1.0, 1.0)),
+     "flc_trust_trust"),
 ])
 def test_python_built_configs_are_checked_by_file_key(cfg, key):
     with pytest.raises(ConfigError) as err:
@@ -313,3 +331,38 @@ def test_controller_refuses_non_finite_breakpoints_and_triangles():
         FLCConfig(trust_sets={**FLCConfig().trust_sets,
                               "trust": (0.6, 0.8, math.inf)}).validate()
     assert err.value.field == "flc_trust_trust"
+
+
+def flc_with(var: str, **umfs) -> FLCConfig:
+    """The default controller with some `var` UMFs replaced, each LMF set
+    equal to its UMF."""
+    sets = {**getattr(FLCConfig(), f"{var}_sets")}
+    sets.update({label: {"umf": umf, "lmf": umf} for label, umf in umfs.items()})
+    return FLCConfig(**{f"{var}_sets": sets})
+
+
+def test_every_inferred_point_needs_an_upper_grade_above_zero():
+    # low and medium meet at 0.3 with both grades 0: no rule fires there
+    gap = dict(low=((0.0, 1.0), (0.2, 1.0), (0.3, 0.0)),
+               medium=((0.3, 0.0), (0.4, 1.0), (0.5, 0.0)),
+               high=((0.9, 0.0), (1.0, 1.0)))
+    for var in ("dfd", "dfr"):
+        with pytest.raises(ConfigError, match=r"x=0\.3$") as err:
+            flc_with(var, **gap).validate()
+        assert err.value.field == f"flc_{var}_low_umf"
+    # a gap from 0.5 to 0.6 between the medium and the high set
+    with pytest.raises(ConfigError, match=r"x=0\.5$"):
+        flc_with("dfd", medium=((0.2, 0.0), (0.4, 1.0), (0.5, 0.0)),
+                 high=((0.6, 0.0), (0.8, 1.0), (1.0, 1.0))).validate()
+    # ... and at the ends of the range, where a set's edge grade continues
+    with pytest.raises(ConfigError, match=r"x=1\.0$") as err:
+        flc_with("dfd", high=((0.5, 0.0), (0.8, 1.0), (1.0, 0.0))).validate()
+    assert err.value.field == "flc_dfd_high_umf"
+    # dfr only needs cover from the bypass rate up, where inference starts
+    no_low = dict(low=((0.0, 0.0), (0.25, 0.0)), medium=((0.1, 0.0), (0.25, 1.0), (0.8, 0.0)))
+    flc_with("dfr", **no_low).validate()
+    with pytest.raises(ConfigError, match=r"x=0\.0$") as err:
+        flc_with("dfd", **no_low).validate()
+    assert err.value.field == "flc_dfd_low_umf"
+    with pytest.raises(ConfigError, match=r"x=0\.1$"):
+        replace(flc_with("dfr", **no_low), dfr_bypass=0.1).validate()

@@ -13,7 +13,6 @@ from scfto.fuzzy import (
     WeightedEndpointList,
     build_endpoint_list,
     consequent_entries,
-    fire_rule,
     type_reduce,
 )
 
@@ -61,15 +60,11 @@ def test_trust_set_symmetry_classification(engine):
         assert engine.trust_sets[label].symmetric
 
 
-# --- firing and consequent cuts -------------------------------------------
-
-def test_fire_rule_is_product():
-    assert fire_rule((0.5, 0.8), (0.25, 0.5)) == (0.125, 0.4)
-
+# --- consequent cuts --------------------------------------------------------
 
 def test_symmetric_consequent_half_level_cut():
-    ts = T1TrustSet(name="medium_trust", a=0.5, c=2.0 / 3.0, b=5.0 / 6.0)
-    entries = consequent_entries(ts, 0.5, 0.5)
+    ts = T1TrustSet(a=0.5, c=2.0 / 3.0, b=5.0 / 6.0)  # medium trust
+    entries = consequent_entries(ts, 0.5, 0.5, 0.5)
     assert len(entries) == 2
     for tl, tr, wlo, whi in entries:
         assert tl == pytest.approx(0.5833, abs=5e-5)
@@ -78,14 +73,14 @@ def test_symmetric_consequent_half_level_cut():
 
 
 def test_symmetric_consequent_full_firing_degenerates_to_peak():
-    ts = T1TrustSet(name="medium_trust", a=0.5, c=2.0 / 3.0, b=5.0 / 6.0)
-    entries = consequent_entries(ts, 1.0, 1.0)
+    ts = T1TrustSet(a=0.5, c=2.0 / 3.0, b=5.0 / 6.0)  # medium trust
+    entries = consequent_entries(ts, 1.0, 1.0, 1.0)
     assert entries == [(ts.c, ts.c, 1.0, 1.0)]
 
 
 def test_shoulder_consequent_single_entry():
-    ts = T1TrustSet(name="complete_trust", a=5.0 / 6.0, c=1.0, b=1.0)
-    entries = consequent_entries(ts, 1.0, 1.0)
+    ts = T1TrustSet(a=5.0 / 6.0, c=1.0, b=1.0)  # complete trust
+    entries = consequent_entries(ts, 1.0, 1.0, 1.0)
     assert entries == [(1.0, 1.0, 1.0, 1.0)]
 
 
@@ -212,7 +207,7 @@ def test_evaluation_bounds_on_grid(engine):
 
 
 def test_rule_table_covers_all_antecedent_pairs():
-    pairs = {(r.dfd_label, r.dfr_label) for r in RULE_TABLE}
+    pairs = {(d, r) for d, r, _ in RULE_TABLE}
     assert pairs == {(d, r) for d in ("low", "medium", "high")
                      for r in ("low", "medium", "high")}
 

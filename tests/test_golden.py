@@ -9,10 +9,19 @@ from dataclasses import replace
 
 import pytest
 
-from scfto.config import AttackParams, OutlierParams, SimConfig
+from scfto.config import AttackParams, FLCConfig, OutlierParams, SimConfig
 from scfto.metrics import ScenarioSpec, run_sweep, run_to_files
 
 BASE = SimConfig(node_count=30, rounds=200, seed=3)
+
+# narrower dfr LMFs leave evidence points where every lower firing grade
+# is 0, so the controller falls back to the upper grades (17 of 57
+# inferences)
+NARROW_DFR = {**FLCConfig().dfr_sets,
+              "medium": {**FLCConfig().dfr_sets["medium"],
+                         "lmf": ((0.45, 0.0), (0.5, 1.0), (0.55, 0.0))},
+              "high": {**FLCConfig().dfr_sets["high"],
+                       "lmf": ((0.75, 0.0), (0.9, 1.0), (1.0, 1.0))}}
 
 CONFIGS = {
     "one_node": replace(BASE, node_count=1),
@@ -23,6 +32,7 @@ CONFIGS = {
     "bad_channel": replace(BASE, force_channel="bad"),
     "dying": replace(BASE, initial_energy_j=0.004),  # every node dead by round 71
     "converging": replace(BASE, outlier=OutlierParams(n_s=5)),
+    "lower_grades_zero": replace(BASE, trust_flc=FLCConfig(dfr_sets=NARROW_DFR)),
 }
 
 FILES = ("rounds.csv", "summary.csv", "trust.csv", "outlier.csv", "manifest.txt")
@@ -62,6 +72,13 @@ GOLDEN = {
         "trust.csv": "6ef44cd49eb9878821d9ae5e3285d4c9303d82f673066465c292970e5082c0ff",
         "outlier.csv": "8dd34583baebaaf79ee78b1d6d84aee5a47188238e4c5d0ccca0272ae7014337",
         "manifest.txt": "bf03de483368e260f2da8cb0e6eb03e0dce6cb9316e1fa795376fa665a2facc0",
+    },
+    "lower_grades_zero": {
+        "rounds.csv": "1c03d5494d979a78e14bff64e6d4a346b431aaf4515784cf8f4efd34a5f6c4a2",
+        "summary.csv": "792a8a5796c00668f6bd62648212de3e6b4d7c2d2ef4da0fcf0f7ed698e7e4dc",
+        "trust.csv": "32ffd0367497fa9c901609c813e7d6dec11f0013c18c0f29597f66bee34934d3",
+        "outlier.csv": "698273caf0805437d21cd55a216a5b885501751ae88555497874c4865e39c563",
+        "manifest.txt": "a4135d31f343dfdc9d45863918ab61b8e32ed0eaa90d4ed876b55b21608808ed",
     },
     "no_attackers": {
         "rounds.csv": "b7f17d04f75f6e4dd30a13074b29b6791b18c43112ecbbbb058ad0c25bd4a1fb",

@@ -251,6 +251,21 @@ def test_cli_lower_membership_above_upper_is_error_code_2(tmp_path, capsys):
     assert not (tmp_path / "sw").exists()
 
 
+def test_cli_uncovered_evidence_point_is_error_code_2(tmp_path, capsys):
+    # no dfr UMF is above 0 at 0.3 or from 0.5 to 0.9: once a member's
+    # forwarding rate lands there, no rule fires and inference has nothing
+    # to reduce, so the config is refused before the run starts
+    umfs = {"low": "0:1,0.2:1,0.3:0", "medium": "0.3:0,0.4:1,0.5:0", "high": "0.9:0,1:1"}
+    cfg_file = tmp_path / "gap.cfg"
+    cfg_file.write_text("rounds = 300\n" + "".join(
+        f"flc_dfr_{label}_{kind} = {pts}\n" for label, pts in umfs.items()
+        for kind in ("umf", "lmf")))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert "configuration error: flc_dfr_low_umf: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_replays_its_manifest(tmp_path, capsys):
     cfg_file = tmp_path / "small.cfg"
     cfg_file.write_text("node_count = 12\nrounds = 30\nseed = 4\n"

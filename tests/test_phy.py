@@ -95,3 +95,8 @@ def test_dead_node_transmission_not_delivered():
     assert node.energy_j == 0.0
     assert not node.alive
     assert energy_ledger_error(state) <= 1e-12
+    # a dead node pays nothing more, so the round engine debits it untested
+    debited, deaths = state.total_debited_j, list(state.deaths)
+    assert not state.debit(node, 1e-6)
+    assert not state.debit(node, 0.0)
+    assert (node.energy_j, state.total_debited_j, state.deaths) == (0.0, debited, deaths)

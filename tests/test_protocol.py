@@ -97,7 +97,7 @@ def test_election_probability_trust_brackets():
     node.e_max = node.e_min = None  # energy term collapses to 1
     for avg, expected in ((1.0, params.p_ct), (0.75, params.p_mt),
                           (0.0, params.p_dt)):
-        node.head_history = [(1, avg)]
+        node.head_history = [avg]
         assert election_probability(node, state) == pytest.approx(expected)
 
 
@@ -105,7 +105,7 @@ def test_election_probability_energy_deficit_scales_down():
     state = small_state()
     params = state.config.election
     node = state.nodes[0]
-    node.head_history = [(1, 1.0)]
+    node.head_history = [1.0]
     node.e_max, node.e_min = 0.10, 0.05
     node.energy_j = 0.05  # full deficit
     assert election_probability(node, state) == pytest.approx(
@@ -117,7 +117,7 @@ def test_election_probability_energy_deficit_scales_down():
 def test_election_probability_equal_extremes_no_penalty():
     state = small_state()
     node = state.nodes[0]
-    node.head_history = [(1, 1.0)]
+    node.head_history = [1.0]
     node.e_max = node.e_min = 0.08
     node.energy_j = 0.01
     assert election_probability(node, state) == pytest.approx(
