@@ -238,9 +238,10 @@ class SimConfig:
     seed: int = 1
     force_channel: str | None = None  # "good" / "bad" testing override
 
-    def validate(self) -> None:
+    def validate(self, *, flc: bool = True) -> None:
         """Check every key against its `KEY_TABLE` row, then the rules that
-        tie keys together."""
+        tie keys together.  `flc=False` leaves the controller's keys to
+        `FuzzyTrustEngine`, which checks them as it is built."""
         if not (isinstance(self.bs_position, tuple) and len(self.bs_position) == 2):
             raise ConfigError("bs_x", "bs_position must be a pair (bs_x, bs_y)")
         for key, (path, _, _, check) in KEY_TABLE.items():
@@ -252,7 +253,8 @@ class SimConfig:
         e = self.election
         if not e.p_ct < e.p_t < e.p_mt < e.p_dt:
             raise ConfigError("p_ct", "need p_ct < p_t < p_mt < p_dt")
-        self.trust_flc.validate()
+        if flc:
+            self.trust_flc.validate()
 
     @property
     def field_diagonal_m(self) -> float:
@@ -405,8 +407,11 @@ def _set_path(obj, path: tuple, value):
     return replace(obj, **{step: value})
 
 
-def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
+def parse_config_text(text: str, base: SimConfig | None = None, *,
+                      check: bool = True) -> SimConfig:
     """Parse `key = value` lines into a SimConfig; unknown keys are errors.
+    The result is validated unless `check` is False, for a caller that
+    changes more keys before it validates the config once.
 
     A run manifest's `code_version` line is accepted when it names this
     version of the simulator, so a manifest replays its run."""
@@ -423,13 +428,15 @@ def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
             cfg = _set_path(cfg, path, parse(value))
         except ValueError as exc:
             raise ConfigError(key, f"bad value {value!r} ({exc})") from exc
-    cfg.validate()
+    if check:
+        cfg.validate()
     return cfg
 
 
-def load_config(path: str, base: SimConfig | None = None) -> SimConfig:
+def load_config(path: str, base: SimConfig | None = None, *,
+                check: bool = True) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+        return parse_config_text(fh.read(), base=base, check=check)
 
 
 def dump_config(cfg: SimConfig) -> str:

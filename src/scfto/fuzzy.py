@@ -8,9 +8,17 @@ short-circuits to trust 0.  The lower alpha-cut of each symmetric
 consequent is taken in the normalization the type reducer's weights use,
 which keeps the trust surface monotone (nonincreasing in the delay ratio,
 nondecreasing in the forwarding rate); see `FuzzyTrustEngine.endpoint_list`.
+
+The linguistic label of a trust value (`FuzzyTrustEngine.classify_trust`)
+is read from a table of label intervals that each engine builds once from
+its seven consequent triangles (`label_table`); only values within a
+near-tie zone of two membership lines are classified by comparing the
+memberships.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .config import FLCConfig, PiecewiseLinearMF, TRUST_LABELS
@@ -61,6 +69,123 @@ class T1TrustSet:
         if x > self.c:
             return (self.b - x) / (self.b - self.c) if self.b > self.c else 1.0
         return 1.0
+
+
+# Rounding bounds of the label table.  A grade is a quotient of two rounded
+# differences, so it lies within 3.4e-16 of its exact value (grades are at
+# most 1), and two computed grades order the way their exact values do
+# once those differ by more than 6.8e-16.  `label_table` reads a difference
+# interpolated from computed end values, itself within 9e-16 of the exact
+# one, and falls back wherever that is at most _NEAR_TIE.
+_NEAR_TIE = 8e-15
+_ZONE_PAD = 2.0 ** -50  # widening of a computed zone end, relative to |ends|
+_UNDERFLOW = 2.0 ** -1073  # a grade this small may round to 0
+
+
+def _argmax(pieces: list, x: float) -> str:
+    """The label the membership loop picks at `x` strictly inside the linear
+    pieces `(index, a, c, b, rising)`, given in label order, where every
+    other set's grade is 0."""
+    best, best_g = 0, 0.0
+    for i, a, c, b, rising in pieces:
+        g = (x - a) / (c - a) if rising else (b - x) / (b - c)
+        if g > best_g:
+            best, best_g = i, g
+    return TRUST_LABELS[best]
+
+
+def label_table(sets: list) -> tuple:
+    """Label intervals of the consequent triangles `sets`, (a, c, b) in
+    `TRUST_LABELS` order, as `(bounds, labels)`: the label of a value `x` is
+    ``labels[bisect_right(bounds, x)]``, or comparing the memberships
+    decides where that is None.
+
+    Every a, c and b is a cut and gets a one-value interval holding the
+    label at that value.  Between two neighbouring cuts every set's grade
+    is 0 or one linear piece, so the label changes only where two pieces
+    cross.  For each pair of pieces the difference of their grades is
+    interpolated from its values at the two cuts; where it is within
+    _NEAR_TIE of 0 (around a crossing, and over a whole interval for pieces
+    on one line or nearly parallel), and where a grade may underflow to 0
+    next to its zero end, the interval holds None.  Every other interval
+    holds the label of its first value.  Grades are computed by the
+    expressions of `T1TrustSet.membership`, so each stored label is the one
+    its loop gives.
+    """
+    inf, nextafter = math.inf, math.nextafter
+    cuts = sorted({v for s in sets for v in s})
+    at = {t: k for k, t in enumerate(cuts)}
+    active = [[] for _ in cuts]  # pieces between cut k and cut k + 1
+    for i, (a, c, b) in enumerate(sets):
+        for k in range(at[a], at[c]):
+            active[k].append((i, a, c, b, True))
+        for k in range(at[c], at[b]):
+            active[k].append((i, a, c, b, False))
+    bounds, labels = [], [TRUST_LABELS[0]]  # below every support every grade is 0
+    for k, t in enumerate(cuts):
+        best, best_g = 0, 0.0
+        for i, (a, c, b) in enumerate(sets):
+            if a <= t <= b:
+                g = 1.0 if t == c else (t - a) / (c - a) if t < c else (b - t) / (b - c)
+                if g > best_g:
+                    best, best_g = i, g
+        bounds.append(t)
+        labels.append(TRUST_LABELS[best])
+        x = nextafter(t, inf)
+        if k + 1 == len(cuts):
+            bounds.append(x)
+            labels.append(TRUST_LABELS[0])  # above every support every grade is 0
+            break
+        u = cuts[k + 1]
+        if x >= u:
+            continue
+        pieces = active[k]
+        zones = []
+        for j, (_, a, c, b, rising) in enumerate(pieces):
+            if rising:
+                if a == t and t + _UNDERFLOW * (c - a) > t:
+                    zones.append((t, t + _UNDERFLOW * (c - a)))
+                g_t, g_u = (t - a) / (c - a), (u - a) / (c - a)
+            else:
+                if b == u and u - _UNDERFLOW * (b - c) < u:
+                    zones.append((u - _UNDERFLOW * (b - c), u))
+                g_t, g_u = (b - t) / (b - c), (b - u) / (b - c)
+            for _, a2, c2, b2, rising2 in pieces[j + 1:]:
+                if rising2:
+                    d_t, d_u = g_t - (t - a2) / (c2 - a2), g_u - (u - a2) / (c2 - a2)
+                else:
+                    d_t, d_u = g_t - (b2 - t) / (b2 - c2), g_u - (b2 - u) / (b2 - c2)
+                if d_t > _NEAR_TIE and d_u > _NEAR_TIE or d_t < -_NEAR_TIE and d_u < -_NEAR_TIE:
+                    continue
+                slope = d_u - d_t
+                if slope == 0.0 or not math.isfinite(slope):
+                    zones.append((t, u))
+                    continue
+                f1, f2 = sorted(((-_NEAR_TIE - d_t) / slope, (_NEAR_TIE - d_t) / slope))
+                pad = _ZONE_PAD * (abs(t) + abs(u))
+                zones.append((t + max(f1, 0.0) * (u - t) - pad,
+                              t + min(f2, 1.0) * (u - t) + pad))
+        # walk the zones in order; x is the first value not yet labelled
+        zones.sort()
+        for lo, hi in zones:
+            lo, hi = nextafter(lo, -inf), nextafter(hi, inf)  # one more value each side
+            if hi < x:
+                continue
+            if lo >= u:
+                break
+            if lo > x:
+                bounds.append(x)
+                labels.append(_argmax(pieces, x))
+            if labels[-1] is not None:
+                bounds.append(max(lo, x))
+                labels.append(None)
+            x = nextafter(hi, inf)
+            if x >= u:
+                break
+        if x < u:
+            bounds.append(x)
+            labels.append(_argmax(pieces, x))
+    return bounds, labels
 
 
 # (dfd label, dfr label, trust label) of the nine inference rules (the
@@ -179,6 +304,8 @@ class FuzzyTrustEngine:
         self.trust_sets = {label: T1TrustSet(*flc.trust_sets[label])
                            for label in TRUST_LABELS}
         self._cache: dict = {}
+        self._label_bounds, self._labels = label_table(
+            [tuple(flc.trust_sets[label]) for label in TRUST_LABELS])
 
     def endpoint_list(self, dfd: float, dfr: float) -> WeightedEndpointList:
         """Weighted cut endpoints of the nine rules at one evidence pair.
@@ -229,7 +356,12 @@ class FuzzyTrustEngine:
 
     def classify_trust(self, value: float) -> str:
         """Label of the consequent set with maximum membership at `value`;
-        ties favor the lower-trust set."""
+        ties favor the lower-trust set.  Read from the engine's label table,
+        except in its near-tie zones."""
+        label = self._labels[bisect_right(self._label_bounds, value)]
+        return label if label is not None else self._classify_by_membership(value)
+
+    def _classify_by_membership(self, value: float) -> str:
         best_label = TRUST_LABELS[0]
         best_grade = -1.0
         for label in TRUST_LABELS:  # ascending trust order, strict > keeps ties low

@@ -230,19 +230,19 @@ def run_sweep(spec: ScenarioSpec, base: SimConfig | None = None) -> str:
     """Run every (sweep value, seed) combination; per-run outputs live in
     subdirectories and one top-level summary.csv collects all runs.
 
-    Any config-file key can be swept.  Every run's config is built first,
-    so an unknown key or a bad value fails before anything is written."""
+    Any config-file key can be swept.  Every run's config is built and
+    validated first, so an unknown key or a bad value fails before anything
+    is written."""
     spec.validate()
     config = base if base is not None else SimConfig()
     if spec.config_path:
-        config = load_config(spec.config_path, base=config)
+        config = load_config(spec.config_path, base=config, check=False)
     key = spec.sweep_key or ""
     runs = []
     for raw_value in spec.sweep_values or ("",):
         for seed in spec.seeds:
-            cfg = replace(config, seed=seed)
-            if spec.sweep_values:
-                cfg = parse_config_text(f"{key} = {raw_value}", base=cfg)
+            cfg = parse_config_text(f"{key} = {raw_value}" if spec.sweep_values else "",
+                                    base=replace(config, seed=seed))
             runs.append((f"run_{raw_value or 'base'}_{seed}", raw_value, cfg))
     rows = []
     for tag, raw_value, cfg in runs:

@@ -68,11 +68,14 @@ def election_probability(node: NodeState, state: SimState) -> float:
         return params.p0_init
     avg = sum(node.head_history) / len(node.head_history)
     label = state.engine.classify_trust(avg)
-    p_x = {
-        "complete_trust": params.p_ct,
-        "trust": params.p_t,
-        "medium_trust": params.p_mt,
-    }.get(label, params.p_dt)  # medium distrust and below share the top rate
+    if label == "complete_trust":
+        p_x = params.p_ct
+    elif label == "trust":
+        p_x = params.p_t
+    elif label == "medium_trust":
+        p_x = params.p_mt
+    else:  # medium distrust and below share the top rate
+        p_x = params.p_dt
     if node.e_max is None or node.e_max == node.e_min:
         term = 1.0
     else:

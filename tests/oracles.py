@@ -1,8 +1,11 @@
 """Independent oracles that only tests use: the energy ledger balance of a
-simulation state, an exhaustive type reducer to check EIASC against and the
-sort-based head choice to check the k-minimum ranking against."""
+simulation state, an exhaustive type reducer to check EIASC against, the
+sort-based head choice to check the k-minimum ranking against, and the
+membership argmax and election probability to check the label table
+against."""
 import math
 
+from scfto.config import TRUST_LABELS
 from scfto.fuzzy import NoEvidenceError, WeightedEndpointList
 from scfto.network import NodeState, SimState
 from scfto.protocol import SELF_DECLARE
@@ -55,3 +58,25 @@ def reference_choose_head(node: NodeState, heads: list, positions: list, state: 
     if trusts and not converged:
         return max(trusts, key=lambda item: item[0])[1]  # first maximum
     return SELF_DECLARE if eligible else None
+
+
+def reference_classify_trust(trust_sets: dict, value: float) -> str:
+    """Label of the largest `T1TrustSet.membership` at `value`; of equal
+    grades, the first in `TRUST_LABELS` (the lower trust)."""
+    grades = [trust_sets[label].membership(value) for label in TRUST_LABELS]
+    return TRUST_LABELS[grades.index(max(grades))]
+
+
+def reference_election_probability(node: NodeState, state: SimState) -> float:
+    """`protocol.election_probability` with the label from
+    `reference_classify_trust` and the label -> rate map as a dict."""
+    params = state.config.election
+    if not node.head_history:
+        return params.p0_init
+    avg = sum(node.head_history) / len(node.head_history)
+    rates = {"complete_trust": params.p_ct, "trust": params.p_t, "medium_trust": params.p_mt}
+    p_x = rates.get(reference_classify_trust(state.engine.trust_sets, avg), params.p_dt)
+    if node.e_max is None or node.e_max == node.e_min:
+        return p_x
+    deficit = (node.e_max - node.energy_j) / (node.e_max - node.e_min)
+    return (1.0 - params.eta * min(1.0, max(0.0, deficit))) * p_x

@@ -1,10 +1,12 @@
-"""Interval type-2 trust inference: membership, firing, type reduction."""
+"""Interval type-2 trust inference: membership, firing, type reduction and
+trust classification."""
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scfto.config import FLCConfig
+from scfto.config import ConfigError, FLCConfig, SimConfig, TRUST_LABELS
 from scfto.fuzzy import (
     FuzzyTrustEngine,
     NoEvidenceError,
@@ -15,8 +17,9 @@ from scfto.fuzzy import (
     consequent_entries,
     type_reduce,
 )
+from scfto.network import init_network
 
-from oracles import reference_type_reduce
+from oracles import reference_classify_trust, reference_type_reduce
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +61,15 @@ def test_trust_set_symmetry_classification(engine):
     for label in ("trust", "medium_trust", "medium_distrust",
                   "distrust", "intense_distrust"):
         assert engine.trust_sets[label].symmetric
+
+
+def test_engine_and_network_refuse_a_bad_controller():
+    # `init_network` leaves the controller to the engine it builds
+    bad = FLCConfig(trust_sets={**FLCConfig().trust_sets, "trust": (0.8, 0.6, 1.0)})
+    for build in (lambda: FuzzyTrustEngine(bad), lambda: init_network(SimConfig(trust_flc=bad))):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert err.value.field == "flc_trust_trust"
 
 
 # --- consequent cuts --------------------------------------------------------
@@ -221,15 +233,98 @@ def test_classification_of_bracket_peaks_and_midpoints(engine):
 
 
 def test_classification_exact_tie_breaks_toward_lower_trust(engine):
-    # peaks at multiples of 1/6; a crafted exact midpoint between two
-    # adjacent peaks has equal membership in both sets
-    peak_lo = engine.trust_sets["intense_distrust"].c
-    peak_hi = engine.trust_sets["distrust"].c
-    mid = (peak_lo + peak_hi) / 2.0
-    m_lo = engine.trust_sets["intense_distrust"].membership(mid)
-    m_hi = engine.trust_sets["distrust"].membership(mid)
-    if m_lo == m_hi:  # guards against floating-point near-ties
-        assert engine.classify_trust(mid) == "intense_distrust"
+    # midpoints where two neighbouring default sets grade exactly equal
+    # (0.5 twice at 1/12, 0.49999999999999967 twice at 0.75)
+    for x, lower, higher in ((1 / 12, "complete_distrust", "intense_distrust"),
+                             (0.75, "medium_trust", "trust")):
+        assert engine.trust_sets[lower].membership(x) == engine.trust_sets[higher].membership(x)
+        assert engine.classify_trust(x) == lower
+    # dyadic sets grade 0.5 twice at 0.375, with every other set at 0
+    dyadic = FuzzyTrustEngine(FLCConfig(trust_sets={
+        **FLCConfig().trust_sets, "distrust": (0.0, 0.25, 0.5),
+        "medium_distrust": (0.25, 0.5, 0.75)}))
+    assert dyadic.trust_sets["distrust"].membership(0.375) == 0.5
+    assert dyadic.trust_sets["medium_distrust"].membership(0.375) == 0.5
+    assert dyadic.classify_trust(0.375) == "distrust"
+
+
+def test_classification_next_to_a_grade_that_underflows():
+    # (x - 0) / 2 rounds to 0 at the smallest subnormal x and not at the
+    # next one, so the label there is the first set's, then the second's
+    sets = {label: (5.0, 5.5, 6.0) for label in TRUST_LABELS}
+    sets["intense_distrust"] = (0.0, 2.0, 3.0)
+    engine = FuzzyTrustEngine(FLCConfig(trust_sets=sets))
+    tiny = math.nextafter(0.0, 1.0)
+    assert engine.classify_trust(tiny) == "complete_distrust"
+    assert engine.classify_trust(2 * tiny) == "intense_distrust"
+
+
+_coord = st.floats(min_value=-2.0, max_value=3.0, allow_nan=False)
+
+
+@st.composite
+def awkward_trust_sets(draw):
+    """Seven valid consequent triangles, drawn to stress the label table:
+    degenerate sides, pieces on one line or a few ulps from it, tiny
+    triangles, dyadic corners and supports outside [0,1]."""
+    sets = []
+    for _ in TRUST_LABELS:
+        kind = draw(st.sampled_from(
+            ("any", "degenerate", "tiny", "dyadic", "shared", "near_parallel")))
+        if kind in ("shared", "near_parallel") and sets:
+            a, c, b = draw(st.sampled_from(sets))
+            if kind == "shared":  # keep one side's line, move the other end
+                if draw(st.booleans()):
+                    b = c + abs(draw(_coord))
+                else:
+                    a = c - abs(draw(_coord))
+            else:  # tilt one side by a few ulps
+                toward = math.inf if draw(st.booleans()) else -math.inf
+                for _ in range(draw(st.integers(1, 3))):
+                    c = math.nextafter(c, toward)
+                a, b = min(a, c), max(b, c)
+        elif kind == "degenerate":
+            lo, hi = sorted((draw(_coord), draw(_coord)))
+            a, c, b = draw(st.sampled_from(((lo, lo, hi), (lo, hi, hi), (lo, lo, lo))))
+        elif kind == "tiny":
+            a = draw(_coord)
+            width = draw(st.floats(min_value=1e-15, max_value=1e-6))
+            a, c, b = a, a + width * draw(st.floats(0.0, 1.0)), a + width
+        elif kind == "dyadic":
+            a, c, b = sorted(draw(st.integers(-8, 16)) / 8 for _ in range(3))
+        else:
+            a, c, b = sorted(draw(_coord) for _ in range(3))
+        sets.append((a, c, b))
+    return sets
+
+
+def _crossings(sets):
+    """Where the lines of every two sides meet."""
+    lines = []  # (zero at, slope) of every side that has a width
+    for a, c, b in sets:
+        if a < c:
+            lines.append((a, 1.0 / (c - a)))
+        if c < b:
+            lines.append((b, -1.0 / (b - c)))
+    return [(z1 * k1 - z2 * k2) / (k1 - k2)
+            for i, (z1, k1) in enumerate(lines) for z2, k2 in lines[i + 1:] if k1 != k2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets=awkward_trust_sets(), uniform=st.lists(_coord, max_size=20))
+def test_classification_matches_the_membership_argmax(sets, uniform):
+    engine = FuzzyTrustEngine(FLCConfig(trust_sets=dict(zip(TRUST_LABELS, sets))))
+    xs = [0.0, 1.0, *uniform]
+    for point in {v for s in sets for v in s} | set(_crossings(sets)):
+        if math.isfinite(point):
+            for toward in (-math.inf, math.inf):
+                x = point
+                for _ in range(3):
+                    x = math.nextafter(x, toward)
+                    xs.append(x)
+            xs.append(point)
+    for x in xs:
+        assert engine.classify_trust(x) == reference_classify_trust(engine.trust_sets, x), x
 
 
 def test_evaluation_is_cached_and_pure(engine):

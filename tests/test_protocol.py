@@ -18,7 +18,7 @@ from scfto.protocol import (SELF_DECLARE, VOUCH_LEVEL, VOUCH_MIN_EVIDENCE,
                             rotation_eligible, run_round, should_elect)
 from scfto.trust import Outcome, TrustTable
 
-from oracles import energy_ledger_error, reference_choose_head
+from oracles import energy_ledger_error, reference_choose_head, reference_election_probability
 
 
 class StubRng:
@@ -122,6 +122,25 @@ def test_election_probability_equal_extremes_no_penalty():
     node.energy_j = 0.01
     assert election_probability(node, state) == pytest.approx(
         state.config.election.p_ct)
+
+
+_share = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+# the set boundaries and the exact ties between neighbouring sets
+_history_value = st.one_of(_share, st.sampled_from(
+    [0.0, 1.0, 1 / 12, 1 / 6, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 5 / 6]))
+_energy = st.floats(min_value=0.0, max_value=0.2, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(history=st.lists(_history_value, max_size=4),
+       extremes=st.one_of(st.none(), st.tuples(_energy, _energy)), energy=_energy)
+def test_election_probability_matches_the_reference(history, extremes, energy):
+    state = small_state()
+    node = state.nodes[0]
+    node.head_history = history
+    node.e_max, node.e_min = (None, None) if extremes is None else sorted(extremes, reverse=True)
+    node.energy_j = energy
+    assert election_probability(node, state) == reference_election_probability(node, state)
 
 
 # -------------------------------------------------------------- choose_head
