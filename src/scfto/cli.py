@@ -11,11 +11,9 @@ from .metrics import load_scenario, run_sweep, run_to_files
 
 
 def _load(args) -> SimConfig:
-    """The config file and command-line overrides, validated once, before
-    anything is written."""
     config = SimConfig()
     if args.config:
-        config = load_config(args.config, base=config, check=False)
+        config = load_config(args.config, base=config)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed

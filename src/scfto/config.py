@@ -407,11 +407,8 @@ def _set_path(obj, path: tuple, value):
     return replace(obj, **{step: value})
 
 
-def parse_config_text(text: str, base: SimConfig | None = None, *,
-                      check: bool = True) -> SimConfig:
+def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
     """Parse `key = value` lines into a SimConfig; unknown keys are errors.
-    The result is validated unless `check` is False, for a caller that
-    changes more keys before it validates the config once.
 
     A run manifest's `code_version` line is accepted when it names this
     version of the simulator, so a manifest replays its run."""
@@ -428,15 +425,13 @@ def parse_config_text(text: str, base: SimConfig | None = None, *,
             cfg = _set_path(cfg, path, parse(value))
         except ValueError as exc:
             raise ConfigError(key, f"bad value {value!r} ({exc})") from exc
-    if check:
-        cfg.validate()
+    cfg.validate()
     return cfg
 
 
-def load_config(path: str, base: SimConfig | None = None, *,
-                check: bool = True) -> SimConfig:
+def load_config(path: str, base: SimConfig | None = None) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base, check=check)
+        return parse_config_text(fh.read(), base=base)
 
 
 def dump_config(cfg: SimConfig) -> str:

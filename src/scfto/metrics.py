@@ -236,13 +236,16 @@ def run_sweep(spec: ScenarioSpec, base: SimConfig | None = None) -> str:
     spec.validate()
     config = base if base is not None else SimConfig()
     if spec.config_path:
-        config = load_config(spec.config_path, base=config, check=False)
+        config = load_config(spec.config_path, base=config)
     key = spec.sweep_key or ""
     runs = []
     for raw_value in spec.sweep_values or ("",):
         for seed in spec.seeds:
-            cfg = parse_config_text(f"{key} = {raw_value}" if spec.sweep_values else "",
-                                    base=replace(config, seed=seed))
+            cfg = replace(config, seed=seed)
+            if spec.sweep_values:
+                cfg = parse_config_text(f"{key} = {raw_value}", base=cfg)
+            else:
+                cfg.validate()
             runs.append((f"run_{raw_value or 'base'}_{seed}", raw_value, cfg))
     rows = []
     for tag, raw_value, cfg in runs:

@@ -251,6 +251,24 @@ def test_cli_lower_membership_above_upper_is_error_code_2(tmp_path, capsys):
     assert not (tmp_path / "sw").exists()
 
 
+def test_config_file_is_checked_on_its_own(tmp_path, capsys):
+    # a file is refused even where a command-line override or a sweep value
+    # would make the run's config valid
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("node_count = 5\nrounds = 0\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_file), "--rounds", "2", "--out", str(out)]) == 2
+    assert "configuration error: rounds: " in capsys.readouterr().err
+    assert not out.exists()
+    cfg_file.write_text("node_count = 5\nrounds = 2\np_ct = 0.2\n")
+    spec_file = tmp_path / "sweep.spec"
+    spec_file.write_text(f"config = {cfg_file}\nseeds = 1\nsweep_key = p_ct\n"
+                         "sweep_values = 0.05\n")
+    assert main(["sweep", str(spec_file), "--out", str(tmp_path / "sw")]) == 2
+    assert "configuration error: p_ct: " in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_cli_uncovered_evidence_point_is_error_code_2(tmp_path, capsys):
     # no dfr UMF is above 0 at 0.3 or from 0.5 to 0.9: once a member's
     # forwarding rate lands there, no rule fires and inference has nothing
