@@ -23,7 +23,6 @@ def _load(args) -> SimConfig:
         overrides["force_channel"] = args.force_channel
     if overrides:
         config = replace(config, **overrides)
-    config.validate()
     return config
 
 

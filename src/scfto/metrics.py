@@ -118,8 +118,10 @@ def summary_row(config: SimConfig, acc: MetricsAccumulator,
 def run_to_files(config: SimConfig, out_dir: str, *, sweep_key: str = "",
                  sweep_value: str = "", dump_trust: bool = False,
                  dump_outlier: bool = False) -> MetricsAccumulator:
-    """Simulate one run and write rounds.csv, summary.csv, manifest.txt."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Simulate one run and write rounds.csv, summary.csv, manifest.txt.
+
+    Every row is held until the run ends, so a config `init_network`
+    refuses leaves nothing behind, not even `out_dir`."""
     acc = MetricsAccumulator(cycle_len=config.cycle_len_rounds)
     round_rows = [ROUNDS_HEADER]
     trust_rows = ["round,observer,observed,state,value,total,successes,delayed"]
@@ -145,6 +147,7 @@ def run_to_files(config: SimConfig, out_dir: str, *, sweep_key: str = "",
                     str(node.tracker.stable_rounds),
                     str(int(node.tracker.converged))]))
 
+    os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "rounds.csv"), round_rows)
     _write(os.path.join(out_dir, "summary.csv"),
            [summary_header(len(acc.cycle_averages())),
@@ -230,9 +233,11 @@ def run_sweep(spec: ScenarioSpec, base: SimConfig | None = None) -> str:
     """Run every (sweep value, seed) combination; per-run outputs live in
     subdirectories and one top-level summary.csv collects all runs.
 
-    Any config-file key can be swept.  Every run's config is built and
-    validated first, so an unknown key or a bad value fails before anything
-    is written."""
+    Any config-file key can be swept.  Every swept value is parsed and
+    checked first, so an unknown key or a bad value fails before anything
+    is written; without sweep values the runs differ only by seed, so a
+    base config `init_network` refuses fails in the first run, which
+    writes nothing."""
     spec.validate()
     config = base if base is not None else SimConfig()
     if spec.config_path:
@@ -244,8 +249,6 @@ def run_sweep(spec: ScenarioSpec, base: SimConfig | None = None) -> str:
             cfg = replace(config, seed=seed)
             if spec.sweep_values:
                 cfg = parse_config_text(f"{key} = {raw_value}", base=cfg)
-            else:
-                cfg.validate()
             runs.append((f"run_{raw_value or 'base'}_{seed}", raw_value, cfg))
     rows = []
     for tag, raw_value, cfg in runs:

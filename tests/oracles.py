@@ -1,8 +1,8 @@
 """Independent oracles that only tests use: the energy ledger balance of a
 simulation state, an exhaustive type reducer to check EIASC against, the
 sort-based head choice to check the k-minimum ranking against, and the
-membership argmax and election probability to check the label table
-against."""
+membership argmax and election probability to check `classify_trust`
+and `protocol.election_probability` against."""
 import math
 
 from scfto.config import TRUST_LABELS

@@ -259,12 +259,29 @@ def test_classification_next_to_a_grade_that_underflows():
     assert engine.classify_trust(2 * tiny) == "intense_distrust"
 
 
+def test_classification_at_cuts_one_ulp_apart():
+    # corners at 0.3, u and the float after u: no float lies between two
+    # neighbouring cuts, and each cut keeps the label at its own value
+    u = math.nextafter(0.3, 1.0)
+    sets = {**FLCConfig().trust_sets, "distrust": (0.1, 0.3, 0.5),
+            "medium_distrust": (u, u, 0.6), "medium_trust": (0.2, math.nextafter(u, 1.0), 0.7)}
+    engine = FuzzyTrustEngine(FLCConfig(trust_sets=sets))
+    for cut in sorted({v for s in sets.values() for v in s}):
+        x = cut
+        for _ in range(3):
+            x = math.nextafter(x, -math.inf)
+        for _ in range(7):
+            assert engine.classify_trust(x) == reference_classify_trust(engine.trust_sets, x), x
+            x = math.nextafter(x, math.inf)
+
+
 _coord = st.floats(min_value=-2.0, max_value=3.0, allow_nan=False)
 
 
 @st.composite
 def awkward_trust_sets(draw):
-    """Seven valid consequent triangles, drawn to stress the label table:
+    """Seven valid consequent triangles, drawn to stress the classifier's
+    cuts and the exact comparison of the lines between them:
     degenerate sides, pieces on one line or a few ulps from it, tiny
     triangles, dyadic corners and supports outside [0,1]."""
     sets = []

@@ -95,6 +95,13 @@ def test_optional_dumps(tmp_path):
     assert (tmp_path / "outlier.csv").exists()
 
 
+def test_refused_config_leaves_no_directory(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="^rounds: "):
+        run_to_files(SimConfig(rounds=0), str(out))
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- sweeps
 
 def test_parse_scenario_text():
@@ -166,6 +173,14 @@ def test_run_sweep_nested_key_and_bad_value(tmp_path):
     assert not (tmp_path / "bad").exists()
 
 
+def test_run_sweep_refuses_a_bad_base_config_and_writes_nothing(tmp_path):
+    spec = ScenarioSpec(config_path=None, seeds=(1, 2), sweep_key=None,
+                        sweep_values=(), output_dir=str(tmp_path / "sw"))
+    with pytest.raises(ConfigError, match="^rounds: "):
+        run_sweep(spec, base=SimConfig(node_count=5, rounds=0))
+    assert not (tmp_path / "sw").exists()
+
+
 def test_run_sweep_layout(tmp_path):
     spec = ScenarioSpec(config_path=None, seeds=(1, 2), sweep_key="rounds",
                         sweep_values=("3", "4"),
@@ -234,6 +249,13 @@ def test_cli_bad_value_names_its_key_and_writes_nothing(tmp_path, capsys, line, 
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
     assert f"configuration error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_bad_override_is_error_code_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--rounds", "0", "--out", str(out)]) == 2
+    assert "configuration error: rounds: " in capsys.readouterr().err
     assert not out.exists()
 
 
