@@ -429,9 +429,19 @@ def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
     return cfg
 
 
+def read_config_file(path: str) -> str:
+    """The text of a config or scenario file; text that is not UTF-8 is a
+    ConfigError naming the file, not a crash."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(path, f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                                f"({exc.reason})") from exc
+
+
 def load_config(path: str, base: SimConfig | None = None) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+    return parse_config_text(read_config_file(path), base=base)
 
 
 def dump_config(cfg: SimConfig) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .config import (ConfigError, SimConfig, dump_config, load_config, parse_config_text,
-                     read_key_values)
+                     read_config_file, read_key_values)
 from .network import init_network
 from .protocol import RoundReport, run_round
 
@@ -225,8 +225,7 @@ def parse_scenario_text(text: str, default_output: str = "out") -> ScenarioSpec:
 
 
 def load_scenario(path: str) -> ScenarioSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario_text(fh.read())
+    return parse_scenario_text(read_config_file(path))
 
 
 def run_sweep(spec: ScenarioSpec, base: SimConfig | None = None) -> str:

@@ -4,7 +4,8 @@ inference, and recommendation merging.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fuzzy import FuzzyTrustEngine
 
@@ -19,18 +20,17 @@ class NoEvidence(ValueError):
     """No forwarding observations recorded for this node yet."""
 
 
-@dataclass(slots=True)
-class EvidenceCounters:
+class EvidenceCounters(NamedTuple):
+    """Forwarding outcomes one observer has seen of one node; immutable,
+    so `record_event` replaces an entry's record to count an outcome."""
     total_forwarding: int = 0
     successes: int = 0
     delayed: int = 0
 
-    def record(self, outcome: Outcome) -> None:
-        self.total_forwarding += 1
-        if outcome in (Outcome.FORWARDED, Outcome.FORWARDED_DELAYED):
-            self.successes += 1
-        if outcome is Outcome.FORWARDED_DELAYED:
-            self.delayed += 1
+
+# The counters of every entry with no recorded outcome: entries created by
+# `TrustTable.entry` or a recommendation merge share it and allocate none.
+NO_EVIDENCE = EvidenceCounters()
 
 
 def evidence(counters: EvidenceCounters) -> tuple:
@@ -49,7 +49,7 @@ def evidence(counters: EvidenceCounters) -> tuple:
 @dataclass(slots=True)
 class TrustEntry:
     value: float | None = None  # None means Unknown
-    counters: EvidenceCounters = field(default_factory=EvidenceCounters)
+    counters: EvidenceCounters = NO_EVIDENCE
 
 
 class TrustTable:
@@ -80,7 +80,14 @@ class TrustTable:
 
 def record_event(table: TrustTable, observed: int, outcome: Outcome) -> None:
     """Log one observed forwarding obligation of `observed`."""
-    table.entry(observed).counters.record(outcome)
+    ent = table.entry(observed)
+    total, successes, delayed = ent.counters
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, about
+    # 0.15 us of a call that runs once per overheard forward
+    ent.counters = tuple.__new__(EvidenceCounters, (
+        total + 1,
+        successes + (outcome is not Outcome.DROPPED),
+        delayed + (outcome is Outcome.FORWARDED_DELAYED)))
 
 
 def update_direct_trust(table: TrustTable, engine: FuzzyTrustEngine,

@@ -234,6 +234,16 @@ def test_cli_bad_config_is_error_code_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_run_config_not_utf8_is_error_code_2_and_writes_nothing(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(b"node_count = 10\nrounds = 3 # \xff\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert (f"configuration error: {cfg_file}: not UTF-8 text: byte 0xff"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line,key", [
     ("e_0 = nan", "e_0"),
     ("t_nbr = nan", "t_nbr"),
@@ -366,3 +376,20 @@ def test_cli_sweep_refuses_repeated_items(tmp_path, capsys, lines):
     assert main(["sweep", str(spec_file), "--out", str(tmp_path / "sw")]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("bad", ["spec", "config"])
+def test_cli_sweep_file_not_utf8_is_error_code_2_and_writes_nothing(tmp_path, capsys, bad):
+    # an undecodable scenario file, or an undecodable config file it names
+    cfg_file = tmp_path / "tiny.cfg"
+    cfg_file.write_bytes(b"node_count = 8\nrounds = 3\n"
+                         + (b"# \xff\n" if bad == "config" else b""))
+    spec_file = tmp_path / "sweep.spec"
+    spec_file.write_bytes(f"config = {cfg_file}\nseeds = 1\n".encode()
+                          + (b"# \xff\n" if bad == "spec" else b""))
+    out = tmp_path / "sw"
+    assert main(["sweep", str(spec_file), "--out", str(out)]) == 2
+    bad_file = spec_file if bad == "spec" else cfg_file
+    assert (f"configuration error: {bad_file}: not UTF-8 text: byte 0xff"
+            in capsys.readouterr().err)
+    assert not out.exists()

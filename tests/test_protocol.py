@@ -16,7 +16,7 @@ from scfto.protocol import (SELF_DECLARE, VOUCH_LEVEL, VOUCH_MIN_EVIDENCE,
                             choose_head, election_probability, head_action,
                             observe_forwarding, recommendation_items,
                             rotation_eligible, run_round, should_elect)
-from scfto.trust import Outcome, TrustTable
+from scfto.trust import EvidenceCounters, Outcome, TrustTable
 
 from oracles import energy_ledger_error, reference_choose_head, reference_election_probability
 
@@ -366,7 +366,7 @@ def test_recommendations_require_direct_evidence():
     head.trust.entry(1).value = 0.5  # merge-derived: no counters
     ent = head.trust.entry(2)
     ent.value = 0.5
-    ent.counters.total_forwarding = 1
+    ent.counters = EvidenceCounters(total_forwarding=1)
     assert recommendation_items(head) == [(2, 0.5)]
 
 
@@ -375,13 +375,13 @@ def test_recommendations_vouch_gate():
     head = state.nodes[0]
     thin = head.trust.entry(1)
     thin.value = VOUCH_LEVEL
-    thin.counters.total_forwarding = VOUCH_MIN_EVIDENCE - 1
+    thin.counters = EvidenceCounters(total_forwarding=VOUCH_MIN_EVIDENCE - 1)
     thick = head.trust.entry(2)
     thick.value = VOUCH_LEVEL
-    thick.counters.total_forwarding = VOUCH_MIN_EVIDENCE
+    thick.counters = EvidenceCounters(total_forwarding=VOUCH_MIN_EVIDENCE)
     low = head.trust.entry(3)
     low.value = VOUCH_LEVEL - 0.01  # below the gate, thin evidence is fine
-    low.counters.total_forwarding = 1
+    low.counters = EvidenceCounters(total_forwarding=1)
     assert recommendation_items(head) == [(2, VOUCH_LEVEL),
                                           (3, VOUCH_LEVEL - 0.01)]
 

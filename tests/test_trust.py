@@ -4,19 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scfto.fuzzy import FuzzyTrustEngine
-from scfto.trust import (EvidenceCounters, NoEvidence, Outcome, TrustTable,
-                         evidence, merge_recommendation, record_event,
+from scfto.trust import (NO_EVIDENCE, EvidenceCounters, NoEvidence, Outcome,
+                         TrustTable, evidence, merge_recommendation, record_event,
                          update_direct_trust)
 
 
 # ---------------------------------------------------------------- counters
 
 def test_counter_trace():
-    c = EvidenceCounters()
-    c.record(Outcome.FORWARDED)
-    c.record(Outcome.FORWARDED_DELAYED)
-    c.record(Outcome.DROPPED)
-    c.record(Outcome.FORWARDED)
+    t = TrustTable(owner=0)
+    for outcome in (Outcome.FORWARDED, Outcome.FORWARDED_DELAYED,
+                    Outcome.DROPPED, Outcome.FORWARDED):
+        record_event(t, 5, outcome)
+    c = t.entry(5).counters
     assert (c.total_forwarding, c.successes, c.delayed) == (4, 3, 1)
 
 
@@ -71,6 +71,35 @@ def test_record_event_accumulates():
     record_event(t, 5, Outcome.DROPPED)
     c = t.entry(5).counters
     assert (c.total_forwarding, c.successes, c.delayed) == (2, 1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=st.lists(st.tuples(st.integers(1, 8), st.sampled_from(Outcome)),
+                       max_size=40),
+       touched=st.lists(st.integers(1, 12), max_size=6),
+       recommended=st.lists(st.integers(1, 12), max_size=6))
+def test_record_event_folds_outcomes_and_shares_no_evidence(events, touched,
+                                                            recommended):
+    t = TrustTable(owner=0)
+    for observed in touched:
+        t.entry(observed)
+    merge_recommendation(t, [(o, 0.5) for o in recommended], t_head=0.5)
+    for observed, outcome in events:
+        record_event(t, observed, outcome)
+    for observed, ent in t.entries.items():
+        seen = [outcome for o, outcome in events if o == observed]
+        if seen:
+            delayed = seen.count(Outcome.FORWARDED_DELAYED)
+            assert type(ent.counters) is EvidenceCounters
+            assert ent.counters == (len(seen), seen.count(Outcome.FORWARDED) + delayed,
+                                    delayed)
+            assert all(type(n) is int for n in ent.counters)  # trust.csv prints them
+        else:  # made by entry() or a merge, never counted
+            assert ent.counters is NO_EVIDENCE
+    assert NO_EVIDENCE == (0, 0, 0)
+    for ent in t.entries.values():
+        with pytest.raises(AttributeError):
+            ent.counters.total_forwarding = 1
 
 
 # ----------------------------------------------------------- direct trust
@@ -224,7 +253,7 @@ def test_merge_does_not_depend_on_recommendation_order(priors, lists, t_head):
         t = TrustTable(owner=0)
         for observed, value in priors.items():
             t.entry(observed).value = value
-            t.entry(observed).counters.record(Outcome.FORWARDED)
+            record_event(t, observed, Outcome.FORWARDED)
         merge_recommendation(t, recommendations, t_head)
         tables.append(t)
     assert tables[0].entries == tables[1].entries
