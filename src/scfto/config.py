@@ -283,25 +283,15 @@ def read_key_values(text: str):
         yield key.strip().lower(), value.strip()
 
 
-def _finite(s: str) -> float:
-    v = float(s)
-    if not math.isfinite(v):
-        raise ValueError("must be finite")
-    return v
-
-
 def _parse_tuple3(s: str) -> tuple:
-    parts = [_finite(p) for p in s.split(",")]
-    if len(parts) != 3:
-        raise ValueError("expected three comma-separated values")
-    return tuple(parts)
+    return tuple(float(p) for p in s.split(","))
 
 
 def _parse_breakpoints(s: str) -> tuple:
     pts = []
     for item in s.split(","):
         x, _, g = item.partition(":")
-        pts.append((_finite(x), _finite(g)))
+        pts.append((float(x), float(g)))
     return tuple(pts)
 
 
@@ -311,7 +301,7 @@ def _parse_channel_force(s: str):
 
 
 # value kinds: (parser, renderer)
-_FLOAT = (_finite, repr)
+_FLOAT = (float, repr)
 _INT = (int, repr)
 _TUPLE3 = (_parse_tuple3, lambda t: ",".join(repr(v) for v in t))
 _BREAKPOINTS = (_parse_breakpoints, lambda pts: ",".join(f"{x!r}:{g!r}" for x, g in pts))

@@ -8,6 +8,7 @@ are printed with 9 significant digits so outputs are diff-stable.
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 from . import __version__
@@ -68,10 +69,11 @@ class MetricsAccumulator:
 
 
 def simulate(config: SimConfig):
-    """Run a full simulation; yields (report, state) per round."""
+    """Set the network up, then return an iterator that runs the rounds and
+    yields (report, state) per round; a config `init_network` refuses
+    raises here, before any round."""
     state = init_network(config)
-    for r in range(config.rounds):
-        yield run_round(state, r), state
+    return ((run_round(state, r), state) for r in range(config.rounds))
 
 
 def rounds_csv_row(report: RoundReport) -> str:
@@ -120,55 +122,64 @@ def run_to_files(config: SimConfig, out_dir: str, *, sweep_key: str = "",
                  dump_outlier: bool = False) -> MetricsAccumulator:
     """Simulate one run and write rounds.csv, summary.csv, manifest.txt.
 
-    Every row is held until the run ends, so a config `init_network`
-    refuses leaves nothing behind, not even `out_dir`."""
-    acc = MetricsAccumulator(cycle_len=config.cycle_len_rounds)
-    round_rows = [ROUNDS_HEADER]
-    trust_rows = ["round,observer,observed,state,value,total,successes,delayed"]
-    outlier_rows = ["round,node,t_th,stable_rounds,converged"]
-    for report, state in simulate(config):
-        acc.add(report)
-        round_rows.append(rounds_csv_row(report))
-        if dump_trust:
-            for node in state.nodes:
-                for observed, ent in sorted(node.trust.entries.items()):
-                    trust_rows.append(",".join([
-                        str(report.round_idx), str(node.id), str(observed),
-                        "unknown" if ent.value is None else "known",
-                        "" if ent.value is None else fmt(ent.value),
-                        str(ent.counters.total_forwarding),
-                        str(ent.counters.successes),
-                        str(ent.counters.delayed)]))
-        if dump_outlier:
-            for node in state.nodes:
-                outlier_rows.append(",".join([
-                    str(report.round_idx), str(node.id),
-                    "" if node.tracker.last_t_th is None else fmt(node.tracker.last_t_th),
-                    str(node.tracker.stable_rounds),
-                    str(int(node.tracker.converged))]))
-
+    Each row is written as its round ends.  The network is set up before
+    `out_dir` is made, so a config `init_network` refuses leaves nothing
+    behind."""
+    rounds = simulate(config)
     os.makedirs(out_dir, exist_ok=True)
-    _write(os.path.join(out_dir, "rounds.csv"), round_rows)
+    write_manifest(config, os.path.join(out_dir, "manifest.txt"))
+    acc = MetricsAccumulator(cycle_len=config.cycle_len_rounds)
+    with ExitStack() as files:
+        def csv_file(name: str, header: str):
+            fh = files.enter_context(_open(os.path.join(out_dir, name)))
+            fh.write(header + "\n")
+            return fh
+
+        round_file = csv_file("rounds.csv", ROUNDS_HEADER)
+        if dump_trust:
+            trust_file = csv_file("trust.csv", "round,observer,observed,state,value,"
+                                               "total,successes,delayed")
+        if dump_outlier:
+            outlier_file = csv_file("outlier.csv", "round,node,t_th,stable_rounds,converged")
+        for report, state in rounds:
+            acc.add(report)
+            round_file.write(rounds_csv_row(report) + "\n")
+            if dump_trust:
+                for node in state.nodes:
+                    for observed, ent in sorted(node.trust.entries.items()):
+                        trust_file.write(",".join([
+                            str(report.round_idx), str(node.id), str(observed),
+                            "unknown" if ent.value is None else "known",
+                            "" if ent.value is None else fmt(ent.value),
+                            str(ent.counters.total_forwarding),
+                            str(ent.counters.successes),
+                            str(ent.counters.delayed)]) + "\n")
+            if dump_outlier:
+                for node in state.nodes:
+                    outlier_file.write(",".join([
+                        str(report.round_idx), str(node.id),
+                        "" if node.tracker.last_t_th is None else fmt(node.tracker.last_t_th),
+                        str(node.tracker.stable_rounds),
+                        str(int(node.tracker.converged))]) + "\n")
     _write(os.path.join(out_dir, "summary.csv"),
            [summary_header(len(acc.cycle_averages())),
             summary_row(config, acc, sweep_key, sweep_value)])
-    write_manifest(config, os.path.join(out_dir, "manifest.txt"))
-    if dump_trust:
-        _write(os.path.join(out_dir, "trust.csv"), trust_rows)
-    if dump_outlier:
-        _write(os.path.join(out_dir, "outlier.csv"), outlier_rows)
     return acc
 
 
 def write_manifest(config: SimConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open(path) as fh:
         fh.write(f"# scfto {__version__} run manifest\n")
         fh.write(f"code_version = {__version__}\n")
         fh.write(dump_config(config))
 
 
+def _open(path: str):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write(path: str, lines: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

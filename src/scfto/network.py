@@ -87,16 +87,16 @@ def apportion_tiers(total: int, mix) -> tuple:
 def init_network(config: SimConfig) -> SimState:
     """Deploy nodes uniformly at random and assign malicious tiers."""
     config.validate(flc=False)  # the engine SimState builds checks the controller
-    streams = StreamFactory(config.seed)
+    state = SimState(config, [])
 
-    deploy = streams.stream("deploy")
+    deploy = state.streams.stream("deploy")
     positions = [(deploy.uniform(0.0, config.field_width_m),
                   deploy.uniform(0.0, config.field_height_m))
                  for _ in range(config.node_count)]
 
     malicious_total = int(math.floor(config.node_count * config.malicious_fraction + 0.5))
     per_tier = apportion_tiers(malicious_total, config.tier_mix)
-    roles = streams.stream("roles")
+    roles = state.streams.stream("roles")
     malicious_ids = sorted(roles.sample(range(config.node_count), malicious_total))
     tier_of = {}
     cursor = 0
@@ -105,7 +105,6 @@ def init_network(config: SimConfig) -> SimState:
             tier_of[node_id] = tier
         cursor += count
 
-    nodes = []
     for node_id in range(config.node_count):
         node = NodeState(
             id=node_id,
@@ -114,8 +113,7 @@ def init_network(config: SimConfig) -> SimState:
             tier=tier_of.get(node_id, NORMAL),
             p_ch=config.election.p0_init,
             trust=TrustTable(node_id),
-            tracker=ConvergenceTracker(th_d=config.outlier.th_d,
-                                       n_s=config.outlier.n_s),
+            tracker=ConvergenceTracker(),
         )
-        nodes.append(node)
-    return SimState(config, nodes)
+        state.nodes.append(node)
+    return state

@@ -42,8 +42,6 @@ def detect_threshold(values, params: OutlierParams) -> float | None:
     n = len(vals)
     if n == 0:
         return None
-    if n == 1:
-        return vals[0]
     counts = neighbor_counts(vals, params.t_nbr)
     max_count = max(counts)
     if max_count == 0:
@@ -72,23 +70,22 @@ def detect_threshold(values, params: OutlierParams) -> float | None:
 
 @dataclass
 class ConvergenceTracker:
-    """Latches once the detected threshold stays stable long enough."""
+    """Latches once the detected threshold stays stable long enough; the
+    tolerance `th_d` and the streak length `n_s` are the config's."""
 
-    th_d: float
-    n_s: int
     last_t_th: float | None = None
     stable_rounds: int = 0
     converged: bool = False
 
-    def update(self, new_t_th: float | None) -> None:
+    def update(self, new_t_th: float | None, params: OutlierParams) -> None:
         """Fold in one round's threshold; None (no detection) skips the
         round without touching the streak."""
         if new_t_th is None:
             return
-        if self.last_t_th is not None and abs(new_t_th - self.last_t_th) < self.th_d:
+        if self.last_t_th is not None and abs(new_t_th - self.last_t_th) < params.th_d:
             self.stable_rounds += 1
         else:
             self.stable_rounds = 0
-        if self.stable_rounds >= self.n_s:
+        if self.stable_rounds >= params.n_s:
             self.converged = True  # latched, never reset
         self.last_t_th = new_t_th

@@ -14,7 +14,7 @@ from .network import NodeState, SimState
 from .outlier import detect_threshold
 from .phy import ChannelState, overhear_energy, rx_energy, sample_channel_state, tx_energy
 from .rng import StreamFactory
-from .trust import NoEvidence, Outcome, merge_recommendation, record_event, update_direct_trust
+from .trust import Outcome, merge_recommendation, record_event, update_direct_trust
 
 SELF_DECLARE = "self-declare"
 
@@ -218,7 +218,6 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
 
     alive = state.alive_nodes()
     if not alive:
-        report.alive_end = 0
         return report
 
     # the round's fixed link costs, each computed once
@@ -341,36 +340,31 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
             state.debit(member, overhear_energy(radio, duration, data_bits, overheard))
             record_event(member.trust, head_id, outcome)
 
-    # (6) per-member trust inference, threshold detection, convergence, and
-    # the next round's election probability
-    for node in state.nodes:
+    # (6) per-member trust inference, threshold detection, convergence, the
+    # next round's election probability and head rotation windows.  Nothing
+    # here debits, so no node dies, and the first steps never read
+    # `rounds_since_head`.
+    became_head = head_set | set(self_declared)
+    for node in alive:
         if not node.alive:
             continue
         link = links.get(node.id)
         if link is not None:
-            try:
-                update_direct_trust(node.trust, state.engine, link[0])
-            except NoEvidence:
-                pass  # death-drops carry no evidence
+            update_direct_trust(node.trust, state.engine, link[0])
             node.tracker.update(detect_threshold(node.trust.known_values(),
-                                                 config.outlier))
+                                                 config.outlier), config.outlier)
         if not node.malicious:  # a malicious node keeps p0_init from deployment
             node.p_ch = election_probability(node, state)
-
-    # (7) bookkeeping: head rotation windows, deaths, metrics
-    became_head = head_set | set(self_declared)
-    for node in state.nodes:
-        if not node.alive:
-            continue
         if node.id in became_head:
             node.rounds_since_head = 0
         elif node.rounds_since_head is not None:
             node.rounds_since_head += 1
 
+    # (7) metrics
     report.heads = sorted(became_head)
     report.clusters = [(h, tuple(members)) for h, members in clusters.items()]
     report.malicious_cluster_count = sum(state.nodes[h].malicious for h in clusters)
     report.energy_spent_j = state.total_debited_j - energy_before
     report.deaths = state.deaths[deaths_before:]
-    report.alive_end = len(state.alive_nodes())
+    report.alive_end = len(alive) - len(report.deaths)
     return report

@@ -91,11 +91,14 @@ def record_event(table: TrustTable, observed: int, outcome: Outcome) -> None:
 
 
 def update_direct_trust(table: TrustTable, engine: FuzzyTrustEngine,
-                        head: int) -> float:
-    """Re-infer the head's trust from the accumulated evidence."""
+                        head: int) -> float | None:
+    """Re-infer the head's trust from the accumulated evidence.  With no
+    observation yet (the head died before forwarding, which is not malice)
+    the entry exists but keeps its value, Unknown or not."""
     ent = table.entry(head)
-    dfr, dfd = evidence(ent.counters)
-    ent.value = engine.evaluate(dfd, dfr)
+    if ent.counters.total_forwarding > 0:
+        dfr, dfd = evidence(ent.counters)
+        ent.value = engine.evaluate(dfd, dfr)
     return ent.value
 
 

@@ -136,6 +136,7 @@ def test_criterion_06_outlier_fixtures():
             f"four-value fixture={got_a}, bimodal fixture={got_b}")
 
 
+@pytest.mark.slow
 def test_criterion_07_malicious_clusters_reach_zero():
     seeds = range(1, 21)
     passes = 0
@@ -157,6 +158,7 @@ def test_criterion_07_malicious_clusters_reach_zero():
             f"{passes}/20 seeds, slowest {slowest:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_attack_totals_grow_with_malicious_fraction():
     fractions = (0.1, 0.2, 0.3, 0.4, 0.5)
     seeds = range(1, 11)

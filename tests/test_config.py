@@ -20,7 +20,6 @@ from scfto.config import (
     PiecewiseLinearMF,
     RadioParams,
     SimConfig,
-    _finite,
     _set_path,
     dump_config,
     parse_config_text,
@@ -303,7 +302,7 @@ def test_every_key_refuses_non_finite_values(key):
     # a string where a number goes: every float key, a ratio, a breakpoint
     # coordinate and a triangle corner
     *[(_set_path(SimConfig(), path, DEFAULT_VALUES[key]), key)
-      for key, (path, parse, _, _) in KEY_TABLE.items() if parse is _finite],
+      for key, (path, parse, _, _) in KEY_TABLE.items() if parse is float],
     (SimConfig(tier_mix=("a", 0.5, 0.5)), "tier_mix"),
     (_set_path(SimConfig(), KEY_TABLE["flc_dfd_low_umf"][0],
                (("0", 1.0), (0.2, 1.0), (0.5, 0.0))), "flc_dfd_low_umf"),

@@ -1,4 +1,5 @@
 """Metric accumulation, file outputs, sweep scenarios, and the CLI."""
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -100,6 +101,24 @@ def test_refused_config_leaves_no_directory(tmp_path):
     with pytest.raises(ConfigError, match="^rounds: "):
         run_to_files(SimConfig(rounds=0), str(out))
     assert not out.exists()
+
+
+def test_simulate_refuses_a_bad_config_before_the_first_round():
+    with pytest.raises(ConfigError, match="^rounds: "):
+        simulate(SimConfig(rounds=0))
+
+
+def test_dumps_are_written_as_rounds_end(tmp_path):
+    # held until the run ended, the rows of this run took about 10 MB
+    cfg = SimConfig(node_count=20, rounds=200, seed=1)
+    tracemalloc.start()
+    try:
+        run_to_files(cfg, str(tmp_path), dump_trust=True, dump_outlier=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "outlier.csv").read_text().splitlines()) == 1 + 20 * 200
+    assert peak < 2 * 1024 * 1024
 
 
 # ----------------------------------------------------------------- sweeps

@@ -131,37 +131,41 @@ def test_threshold_never_exceeds_max():
 def test_convergence_sequence():
     # th_d=0.05, n_s=3: diffs 0.02, 0.01, 0.02 -> streak reaches 3 on the
     # fourth update and latches.
-    tr = ConvergenceTracker(th_d=0.05, n_s=3)
+    tr = ConvergenceTracker()
+    params = OutlierParams(th_d=0.05, n_s=3)
     for v, expect in ((0.90, False), (0.92, False), (0.91, False),
                       (0.93, True)):
-        tr.update(v)
+        tr.update(v, params)
         assert tr.converged is expect
 
 
 def test_convergence_streak_resets_on_jump():
-    tr = ConvergenceTracker(th_d=0.05, n_s=3)
-    tr.update(0.90)
-    tr.update(0.91)
-    tr.update(0.50)  # jump resets the stable streak
+    tr = ConvergenceTracker()
+    params = OutlierParams(th_d=0.05, n_s=3)
+    tr.update(0.90, params)
+    tr.update(0.91, params)
+    tr.update(0.50, params)  # jump resets the stable streak
     assert tr.stable_rounds == 0
     assert not tr.converged
 
 
 def test_convergence_latches_forever():
-    tr = ConvergenceTracker(th_d=0.05, n_s=1)
-    tr.update(0.9)
-    tr.update(0.9)
+    tr = ConvergenceTracker()
+    params = OutlierParams(th_d=0.05, n_s=1)
+    tr.update(0.9, params)
+    tr.update(0.9, params)
     assert tr.converged
-    tr.update(0.1)  # later instability does not unlatch
+    tr.update(0.1, params)  # later instability does not unlatch
     assert tr.converged
 
 
 def test_convergence_ignores_none():
-    tr = ConvergenceTracker(th_d=0.05, n_s=2)
-    tr.update(0.9)
-    tr.update(None)
+    tr = ConvergenceTracker()
+    params = OutlierParams(th_d=0.05, n_s=2)
+    tr.update(0.9, params)
+    tr.update(None, params)
     assert tr.last_t_th == 0.9
     assert tr.stable_rounds == 0
-    tr.update(0.91)
-    tr.update(0.92)
+    tr.update(0.91, params)
+    tr.update(0.92, params)
     assert tr.converged

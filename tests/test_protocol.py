@@ -256,7 +256,7 @@ def test_choose_head_matches_the_sort_based_reference(field, data):
     n_nch = data.draw(st.integers(1, len(heads) + 2))
     state = SimState(SimConfig(join=JoinParams(n_nch=n_nch)), [])
     node = NodeState(id=0, position=position, energy_j=1.0, trust=TrustTable(0),
-                     tracker=ConvergenceTracker(th_d=0.05, n_s=60))
+                     tracker=ConvergenceTracker())
     for h in heads:
         value = data.draw(st.one_of(st.none(), _levels))  # None is Unknown
         if value is not None or data.draw(st.booleans()):  # with or without an entry

@@ -122,6 +122,16 @@ def test_update_direct_trust_dropper_is_zero():
     assert update_direct_trust(t, engine, head=2) == 0.0
 
 
+def test_update_direct_trust_without_observation_keeps_the_value():
+    # a head that died before forwarding leaves an entry, Unknown or not
+    t = TrustTable(owner=0)
+    engine = FuzzyTrustEngine()
+    assert update_direct_trust(t, engine, head=2) is None
+    assert 2 in t.entries and t.entry(2).counters is NO_EVIDENCE
+    t.entry(3).value = 0.4  # e.g. set by a recommendation merge
+    assert update_direct_trust(t, engine, head=3) == 0.4
+
+
 # --------------------------------------------------------------- merging
 
 def test_merge_known_branch_weighted_average():
