@@ -117,7 +117,23 @@ def choose_head(node: NodeState, heads: list, positions: list, state: SimState,
     detected threshold, falls back to Unknown, and otherwise self-declares
     when eligible or idles.  Returns a head id, SELF_DECLARE, or None;
     `run_round` says what a self-declared head does.
+
+    A converged node first scans the trust of every head and, when none is
+    Unknown or at or above its threshold, self-declares or idles without
+    measuring a distance.  This is exact: the nearest candidates are some
+    of `heads`, so none of them would be acceptable either.  Once
+    thresholds settle most nodes idle this way in most rounds.
     """
+    converged = node.tracker.converged
+    if converged:
+        t_th = node.tracker.last_t_th
+        value_of = node.trust.value_of
+        for h in heads:
+            t = value_of(h)
+            if t is None or t >= t_th:  # acceptable; the ranking picks which
+                break
+        else:
+            return SELF_DECLARE if eligible else None
     if len(heads) <= 1:  # nothing to rank, as in 40 % of `default` rounds
         nearest = heads
     else:
@@ -131,9 +147,7 @@ def choose_head(node: NodeState, heads: list, positions: list, state: SimState,
             nearest.append(heads[i])
     # (trust or None while Unknown, head id), nearest first
     trusts = [(node.trust.value_of(h), h) for h in nearest]
-    converged = node.tracker.converged
     if converged:
-        t_th = node.tracker.last_t_th
         for t, head_id in trusts:
             if t is not None and t >= t_th:
                 return head_id

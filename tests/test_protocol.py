@@ -229,6 +229,48 @@ def test_choose_head_postconvergence_all_bad_self_declares():
     assert choose_head(node, *candidates(state, ranked), state, eligible=False) is None
 
 
+def converged_node(state, t_th):
+    node = state.nodes[0]
+    node.tracker.converged = True
+    node.tracker.last_t_th = t_th
+    return node
+
+
+def test_choose_head_converged_with_no_acceptable_head_measures_no_distance():
+    state = small_state()
+    node = converged_node(state, 0.8)
+    heads = sorted(heads_by_distance(state, node)[:5])
+    for i, h in enumerate(heads):
+        node.trust.entry(h).value = 0.79 - 0.1 * i  # Known, below the threshold
+    nowhere = [None] * len(heads)  # any distance would raise
+    assert choose_head(node, heads, nowhere, state, eligible=True) == SELF_DECLARE
+    assert choose_head(node, heads, nowhere, state, eligible=False) is None
+
+
+@pytest.mark.parametrize("far_value", [0.9, None])
+def test_choose_head_converged_ignores_an_acceptable_head_beyond_the_nearest(far_value):
+    state = small_state()
+    node = converged_node(state, 0.8)
+    assert state.config.join.n_nch == 2
+    ranked = heads_by_distance(state, node)[:4]
+    for h in ranked[:2] + ranked[3:]:
+        node.trust.entry(h).value = 0.5
+    node.trust.entry(ranked[2]).value = far_value  # third nearest: acceptable
+    for eligible, expected in ((True, SELF_DECLARE), (False, None)):
+        args = (node, *candidates(state, ranked), state, eligible)
+        assert choose_head(*args) == reference_choose_head(*args) == expected
+
+
+def test_choose_head_converged_explores_the_farthest_head_when_it_is_unknown():
+    state = small_state(join=JoinParams(n_nch=3))
+    node = converged_node(state, 0.8)
+    ranked = heads_by_distance(state, node)[:3]
+    node.trust.entry(ranked[0]).value = 0.5
+    node.trust.entry(ranked[1]).value = 0.7
+    args = (node, *candidates(state, ranked), state, False)
+    assert choose_head(*args) == reference_choose_head(*args) == ranked[2]
+
+
 _levels = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]), st.floats(0.0, 1.0))
 
 
@@ -257,12 +299,17 @@ def test_choose_head_matches_the_sort_based_reference(field, data):
     state = SimState(SimConfig(join=JoinParams(n_nch=n_nch)), [])
     node = NodeState(id=0, position=position, energy_j=1.0, trust=TrustTable(0),
                      tracker=ConvergenceTracker())
+    node.tracker.converged = data.draw(st.booleans())
+    node.tracker.last_t_th = t_th = data.draw(_levels)
+    # every head Known and below the threshold: a converged node ranks none
+    below = t_th > 0.0 and data.draw(st.booleans())
     for h in heads:
-        value = data.draw(st.one_of(st.none(), _levels))  # None is Unknown
+        if below:
+            value = data.draw(st.floats(0.0, t_th, exclude_max=True))
+        else:
+            value = data.draw(st.one_of(st.none(), _levels))  # None is Unknown
         if value is not None or data.draw(st.booleans()):  # with or without an entry
             node.trust.entry(h).value = value
-    node.tracker.converged = data.draw(st.booleans())
-    node.tracker.last_t_th = data.draw(_levels)
     eligible = data.draw(st.booleans())
     assert (choose_head(node, heads, positions, state, eligible)
             == reference_choose_head(node, heads, positions, state, eligible))
