@@ -15,7 +15,7 @@ from .trust import TrustTable
 NORMAL = 0  # tier 0 is a normal node; tiers 1..3 are malicious
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     id: int
     position: tuple

@@ -68,7 +68,7 @@ def detect_threshold(values, params: OutlierParams) -> float | None:
     return vals[left]
 
 
-@dataclass
+@dataclass(slots=True)
 class ConvergenceTracker:
     """Latches once the detected threshold stays stable long enough; the
     tolerance `th_d` and the streak length `n_s` are the config's."""

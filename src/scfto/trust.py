@@ -22,7 +22,8 @@ class NoEvidence(ValueError):
 
 class EvidenceCounters(NamedTuple):
     """Forwarding outcomes one observer has seen of one node; immutable,
-    so `record_event` replaces an entry's record to count an outcome."""
+    so `record_event` replaces an entry's record to count an outcome.
+    Records are shared between entries: compare them by value."""
     total_forwarding: int = 0
     successes: int = 0
     delayed: int = 0
@@ -31,6 +32,14 @@ class EvidenceCounters(NamedTuple):
 # The counters of every entry with no recorded outcome: entries created by
 # `TrustTable.entry` or a recommendation merge share it and allocate none.
 NO_EVIDENCE = EvidenceCounters()
+
+# One shared record per distinct (total, successes, delayed) triple, which
+# `record_event` hands out.  A run's tables hold few distinct triples but
+# many entries, and a NamedTuple is never untracked by the garbage
+# collector, so each record saved is memory and collector work saved.
+# Past the cap `record_event` makes a fresh record, equal by value.
+_SHARED_COUNTERS: dict = {(0, 0, 0): NO_EVIDENCE}
+_SHARED_COUNTERS_CAP = 1 << 16
 
 
 def evidence(counters: EvidenceCounters) -> tuple:
@@ -54,6 +63,8 @@ class TrustEntry:
 
 class TrustTable:
     """One observer's view of the other nodes."""
+
+    __slots__ = ("owner", "entries")
 
     def __init__(self, owner: int):
         self.owner = owner
@@ -82,12 +93,17 @@ def record_event(table: TrustTable, observed: int, outcome: Outcome) -> None:
     """Log one observed forwarding obligation of `observed`."""
     ent = table.entry(observed)
     total, successes, delayed = ent.counters
-    # tuple.__new__ skips the NamedTuple's Python-level __new__, about
-    # 0.15 us of a call that runs once per overheard forward
-    ent.counters = tuple.__new__(EvidenceCounters, (
-        total + 1,
-        successes + (outcome is not Outcome.DROPPED),
-        delayed + (outcome is Outcome.FORWARDED_DELAYED)))
+    key = (total + 1,
+           successes + (outcome is not Outcome.DROPPED),
+           delayed + (outcome is Outcome.FORWARDED_DELAYED))
+    counters = _SHARED_COUNTERS.get(key)
+    if counters is None:
+        # tuple.__new__ skips the NamedTuple's Python-level __new__; only a
+        # triple not yet shared, or one past the cap, is built here
+        counters = tuple.__new__(EvidenceCounters, key)
+        if len(_SHARED_COUNTERS) < _SHARED_COUNTERS_CAP:
+            _SHARED_COUNTERS[key] = counters
+    ent.counters = counters
 
 
 def update_direct_trust(table: TrustTable, engine: FuzzyTrustEngine,

@@ -478,6 +478,16 @@ def test_cluster_members_are_in_slot_order():
     assert seen  # some cluster had more than one member to order
 
 
+def test_run_round_shares_one_counters_record_per_triple():
+    state = init_network(SimConfig(node_count=30, rounds=80, seed=3))
+    for r in range(state.config.rounds):
+        run_round(state, r)
+    records = [ent.counters for node in state.nodes
+               for ent in node.trust.entries.values()]
+    assert len({tuple(c) for c in records}) > 1
+    assert len({id(c) for c in records}) == len({tuple(c) for c in records})
+
+
 def test_dead_network_round_is_empty():
     state = small_state(n=5, seed=2)
     for node in state.nodes:

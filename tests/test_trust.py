@@ -3,6 +3,7 @@ inference, and recommendation merging."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scfto import trust
 from scfto.fuzzy import FuzzyTrustEngine
 from scfto.trust import (NO_EVIDENCE, EvidenceCounters, NoEvidence, Outcome,
                          TrustTable, evidence, merge_recommendation, record_event,
@@ -100,6 +101,42 @@ def test_record_event_folds_outcomes_and_shares_no_evidence(events, touched,
     for ent in t.entries.values():
         with pytest.raises(AttributeError):
             ent.counters.total_forwarding = 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=st.lists(st.tuples(st.integers(0, 3), st.integers(4, 9),
+                                 st.sampled_from(Outcome)), max_size=80),
+       cap=st.one_of(st.none(), st.integers(1, 6)))
+def test_record_event_shares_one_record_per_triple(events, cap):
+    # cap None keeps the module's table; a small cap starts from a fresh
+    # table that fills after a few triples, so later records are unshared
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(trust, "_SHARED_COUNTERS", {(0, 0, 0): NO_EVIDENCE})
+            mp.setattr(trust, "_SHARED_COUNTERS_CAP", cap)
+        tables = [TrustTable(owner=owner) for owner in range(4)]
+        expected = {}
+        for owner, observed, outcome in events:
+            record_event(tables[owner], observed, outcome)
+            total, successes, delayed = expected.get((owner, observed), (0, 0, 0))
+            expected[owner, observed] = (
+                total + 1, successes + (outcome is not Outcome.DROPPED),
+                delayed + (outcome is Outcome.FORWARDED_DELAYED))
+        shared = trust._SHARED_COUNTERS
+        if cap is not None:
+            assert len(shared) <= cap
+    by_triple = {}
+    for t in tables:
+        for observed, ent in t.entries.items():
+            c = ent.counters
+            assert type(c) is EvidenceCounters
+            assert (c.total_forwarding, c.successes, c.delayed) == expected[t.owner, observed]
+            by_triple.setdefault(tuple(c), set()).add(id(c))
+    for triple, ids in by_triple.items():
+        if triple in shared:
+            assert ids == {id(shared[triple])}  # one record, however many entries
+    if cap is None:
+        assert set(by_triple) <= set(shared)
 
 
 # ----------------------------------------------------------- direct trust
