@@ -200,6 +200,9 @@ class ScenarioSpec:
             raise ConfigError("seeds", "seed list must be nonempty")
         if bool(self.sweep_values) != (self.sweep_key is not None):
             raise ConfigError("sweep_key", "sweep_key and sweep_values go together")
+        if self.sweep_key is not None and self.sweep_key.lower() == "seed":
+            # a swept seed would overwrite each run's seed from `seeds`
+            raise ConfigError("sweep_key", "seed cannot be swept; the seeds key sets the seeds")
         # a repeated item would name the same run directory twice
         for name, items in (("seeds", self.seeds), ("sweep_values", self.sweep_values)):
             if len(set(items)) != len(items):

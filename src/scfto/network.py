@@ -24,6 +24,10 @@ class NodeState:
     head_history: list = field(default_factory=list)  # trust at selection, last n_lch heads
     rounds_since_head: int | None = None  # None means "never been head"
     alive: bool = True
+    # head probability for the next election; `run_round` keeps it current
+    # only where the node is past the rotation floor or was never head, and
+    # elsewhere it holds its last value, which nothing reads
+    # (`protocol.rotation_eligible`)
     p_ch: float = 0.07
     # latest acceptance-message energy extremes, for the election formula
     e_max: float | None = None

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .config import SimConfig
+from .config import ElectionParams, SimConfig
 from .network import NodeState, SimState
 from .outlier import detect_threshold
 from .phy import ChannelState, overhear_energy, rx_energy, sample_channel_state, tx_energy
@@ -84,19 +84,34 @@ def election_probability(node: NodeState, state: SimState) -> float:
     return term * p_x
 
 
-def rotation_eligible(node: NodeState) -> bool:
-    """True when the node has never been head or sat out its whole window."""
-    if node.rounds_since_head is None:
+def rotation_floor(params: ElectionParams) -> int:
+    """The shortest rotation window any node can have, ceil(1/max(p0_init,
+    p_dt)).  It is exact: `SimConfig.validate` makes p_dt the largest rate
+    and keeps eta in [0, 1), so every `p_ch` that `election_probability`
+    returns, and a malicious node's p0_init, is at most max(p0_init, p_dt)."""
+    return math.ceil(1.0 / max(params.p0_init, params.p_dt))
+
+
+def rotation_eligible(node: NodeState, floor: int = 0) -> bool:
+    """True when the node has never been head or sat out its whole window.
+
+    A node fewer than `floor` rounds past its last headship is ineligible
+    without reading `p_ch`; `run_round` passes `rotation_floor`, and since
+    no window is shorter, the answer is the same as without it."""
+    rounds = node.rounds_since_head
+    if rounds is None:
         return True
-    return node.rounds_since_head >= math.ceil(1.0 / node.p_ch)
+    return rounds >= floor and rounds >= math.ceil(1.0 / node.p_ch)
 
 
-def should_elect(node: NodeState, round_idx: int, streams: StreamFactory) -> bool:
+def should_elect(node: NodeState, round_idx: int, streams: StreamFactory,
+                 floor: int = 0) -> bool:
     """Rotation-window eligibility plus the LEACH-style threshold draw.
 
-    The node's `elect` stream is opened only once it is eligible, since an
-    ineligible node draws nothing."""
-    if not rotation_eligible(node):
+    `floor` is `rotation_eligible`'s: a node inside it is ineligible, and
+    its `p_ch` is not read.  The node's `elect` stream is opened only once
+    it is eligible, since an ineligible node draws nothing."""
+    if not rotation_eligible(node, floor):
         return False
     p = node.p_ch
     period = 1.0 / p
@@ -243,8 +258,9 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
     timeout = overhear_energy(radio, radio.d_m_s, data_bits, False)
 
     # (2) election: self-elected heads broadcast across the whole field
+    floor = rotation_floor(config.election)
     heads = [node.id for node in alive
-             if should_elect(node, round_idx, state.streams)]
+             if should_elect(node, round_idx, state.streams, floor)]
     broadcast = tx_energy(radio, ctrl, config.field_diagonal_m)
     broadcast_ok = set()
     for head_id in heads:
@@ -270,7 +286,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         if node.id in head_set or not node.alive:
             continue
         choice = choose_head(node, live_heads, head_positions, state,
-                             eligible=rotation_eligible(node))
+                             eligible=rotation_eligible(node, floor))
         if choice is None:
             continue
         if choice == SELF_DECLARE:
@@ -354,10 +370,12 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
             state.debit(member, overhear_energy(radio, duration, data_bits, overheard))
             record_event(member.trust, head_id, outcome)
 
-    # (6) per-member trust inference, threshold detection, convergence, the
-    # next round's election probability and head rotation windows.  Nothing
-    # here debits, so no node dies, and the first steps never read
-    # `rounds_since_head`.
+    # (6) per-member trust inference, threshold detection, convergence, head
+    # rotation windows and the next round's election probability.  Nothing
+    # here debits, so no node dies.  `election_probability` never reads
+    # `rounds_since_head`, so the window moves first and `p_ch` is recomputed
+    # only where the next round can read it, past the floor; nothing it
+    # depends on changes before the next election.
     became_head = head_set | set(self_declared)
     for node in alive:
         if not node.alive:
@@ -367,12 +385,14 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
             update_direct_trust(node.trust, state.engine, link[0])
             node.tracker.update(detect_threshold(node.trust.known_values(),
                                                  config.outlier), config.outlier)
-        if not node.malicious:  # a malicious node keeps p0_init from deployment
-            node.p_ch = election_probability(node, state)
         if node.id in became_head:
             node.rounds_since_head = 0
         elif node.rounds_since_head is not None:
             node.rounds_since_head += 1
+        # a malicious node keeps p0_init from deployment
+        if not node.malicious and (node.rounds_since_head is None
+                                   or node.rounds_since_head >= floor):
+            node.p_ch = election_probability(node, state)
 
     # (7) metrics
     report.heads = sorted(became_head)

@@ -2,10 +2,13 @@
 simulation state, an exhaustive type reducer to check EIASC against, the
 sort-based head choice to check the k-minimum ranking against, and the
 membership argmax and election probability to check `classify_trust`
-and `protocol.election_probability` against."""
+and `protocol.election_probability` against.  Also the election
+parameters the whole-run properties draw."""
 import math
 
-from scfto.config import TRUST_LABELS
+from hypothesis import strategies as st
+
+from scfto.config import TRUST_LABELS, ElectionParams
 from scfto.fuzzy import NoEvidenceError, WeightedEndpointList
 from scfto.network import NodeState, SimState
 from scfto.protocol import SELF_DECLARE
@@ -80,3 +83,17 @@ def reference_election_probability(node: NodeState, state: SimState) -> float:
         return p_x
     deficit = (node.e_max - node.energy_j) / (node.e_max - node.e_min)
     return (1.0 - params.eta * min(1.0, max(0.0, deficit))) * p_x
+
+
+_P_DT = ElectionParams().p_dt
+
+
+def election_params():
+    """`ElectionParams` with p0_init below or above p_dt (up to 0.9, where
+    the rotation floor is 2, its least) and eta at 0, the default 0.4 or
+    0.99; the trust rates keep their defaults."""
+    return st.builds(
+        ElectionParams,
+        p0_init=st.one_of(st.floats(0.01, _P_DT),
+                          st.floats(_P_DT, 0.9, exclude_min=True)),
+        eta=st.sampled_from((0.0, 0.4, 0.99)))

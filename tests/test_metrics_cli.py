@@ -171,6 +171,21 @@ def test_scenario_sweep_key_and_values_go_together():
         parse_scenario_text("seeds = 1\nsweep_key = rounds\n")
 
 
+@pytest.mark.parametrize("key", ["seed", "SEED"])
+def test_scenario_refuses_to_sweep_the_seed(key):
+    # each run's seed comes from `seeds`; a swept seed would overwrite it
+    with pytest.raises(ConfigError, match="sweep_key"):
+        parse_scenario_text(f"seeds = 1,2\nsweep_key = {key}\nsweep_values = 3\n")
+
+
+def test_cli_sweeping_the_seed_is_error_code_2_and_writes_nothing(tmp_path, capsys):
+    spec_file = tmp_path / "sweep.spec"
+    spec_file.write_text("seeds = 1,2\nsweep_key = seed\nsweep_values = 3\n")
+    assert main(["sweep", str(spec_file), "--out", str(tmp_path / "sw")]) == 2
+    assert "sweep_key" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_scenario_rejects_unknown_sweep_key(tmp_path):
     spec = parse_scenario_text("seeds = 1\nsweep_key = bogus\nsweep_values = 1\n",
                                default_output=str(tmp_path / "sw"))

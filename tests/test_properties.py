@@ -16,6 +16,8 @@ from scfto.config import AttackParams, OutlierParams, SimConfig
 from scfto.network import init_network
 from scfto.protocol import run_round
 
+from oracles import election_params
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from checks import (check_energy, check_ranges, check_rounds,  # noqa: E402
                     check_thresholds, check_trust_surface)
@@ -38,6 +40,8 @@ def small_configs(draw):
         force_channel=draw(st.sampled_from((None, "good", "bad"))),
         attack=draw(st.one_of(st.just(AttackParams()), _saturated)),
         outlier=OutlierParams(n_s=draw(st.sampled_from((60, 2)))),
+        # short rotation windows (p0_init above p_dt) and the eta extremes
+        election=draw(election_params()),
     )
 
 

@@ -15,10 +15,12 @@ from scfto.rng import StreamFactory
 from scfto.protocol import (SELF_DECLARE, VOUCH_LEVEL, VOUCH_MIN_EVIDENCE,
                             choose_head, election_probability, head_action,
                             observe_forwarding, recommendation_items,
-                            rotation_eligible, run_round, should_elect)
+                            rotation_eligible, rotation_floor, run_round,
+                            should_elect)
 from scfto.trust import EvidenceCounters, Outcome, TrustTable
 
-from oracles import energy_ledger_error, reference_choose_head, reference_election_probability
+from oracles import (election_params, energy_ledger_error, reference_choose_head,
+                     reference_election_probability)
 
 
 class StubRng:
@@ -141,6 +143,29 @@ def test_election_probability_matches_the_reference(history, extremes, energy):
     node.e_max, node.e_min = (None, None) if extremes is None else sorted(extremes, reverse=True)
     node.energy_j = energy
     assert election_probability(node, state) == reference_election_probability(node, state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 30), rounds=st.integers(1, 60), seed=st.integers(0, 2**32),
+       fraction=st.sampled_from((0.0, 0.3, 1.0)), election=election_params())
+def test_rotation_floor_is_exact(n, rounds, seed, fraction, election):
+    # before every round, eligibility under the floor equals the eager rule
+    # on a freshly computed probability, and wherever that rule lets a node
+    # stand, the `p_ch` it reads is that probability
+    config = SimConfig(node_count=n, rounds=rounds, seed=seed,
+                       malicious_fraction=fraction, election=election)
+    state = init_network(config)
+    floor = rotation_floor(election)
+    for r in range(rounds):
+        for node in state.alive_nodes():
+            p = (election.p0_init if node.malicious
+                 else reference_election_probability(node, state))
+            eager = (node.rounds_since_head is None
+                     or node.rounds_since_head >= math.ceil(1.0 / p))
+            assert rotation_eligible(node, floor) == eager
+            if eager:
+                assert node.p_ch == p
+        run_round(state, r)
 
 
 # -------------------------------------------------------------- choose_head
