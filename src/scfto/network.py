@@ -25,9 +25,10 @@ class NodeState:
     rounds_since_head: int | None = None  # None means "never been head"
     alive: bool = True
     # head probability for the next election; `run_round` keeps it current
-    # only where the node is past the rotation floor or was never head, and
-    # elsewhere it holds its last value, which nothing reads
-    # (`protocol.rotation_eligible`)
+    # only where the node was never head or is at or past the rotation floor.
+    # Inside the floor it holds its last value, which `rotation_eligible`
+    # still reads but which gives the same answer as any current value
+    # (`protocol.rotation_floor`)
     p_ch: float = 0.07
     # latest acceptance-message energy extremes, for the election formula
     e_max: float | None = None

@@ -92,26 +92,24 @@ def rotation_floor(params: ElectionParams) -> int:
     return math.ceil(1.0 / max(params.p0_init, params.p_dt))
 
 
-def rotation_eligible(node: NodeState, floor: int = 0) -> bool:
+def rotation_eligible(node: NodeState) -> bool:
     """True when the node has never been head or sat out its whole window.
 
-    A node fewer than `floor` rounds past its last headship is ineligible
-    without reading `p_ch`; `run_round` passes `rotation_floor`, and since
-    no window is shorter, the answer is the same as without it."""
-    rounds = node.rounds_since_head
-    if rounds is None:
+    Inside the rotation floor `p_ch` may be stale (`run_round` step 6), but
+    every value it has held is at most max(p0_init, p_dt), so ceil(1/p_ch)
+    is at least the floor and the node is ineligible, as it would be on a
+    current value."""
+    if node.rounds_since_head is None:
         return True
-    return rounds >= floor and rounds >= math.ceil(1.0 / node.p_ch)
+    return node.rounds_since_head >= math.ceil(1.0 / node.p_ch)
 
 
-def should_elect(node: NodeState, round_idx: int, streams: StreamFactory,
-                 floor: int = 0) -> bool:
+def should_elect(node: NodeState, round_idx: int, streams: StreamFactory) -> bool:
     """Rotation-window eligibility plus the LEACH-style threshold draw.
 
-    `floor` is `rotation_eligible`'s: a node inside it is ineligible, and
-    its `p_ch` is not read.  The node's `elect` stream is opened only once
-    it is eligible, since an ineligible node draws nothing."""
-    if not rotation_eligible(node, floor):
+    The node's `elect` stream is opened only once it is eligible, since an
+    ineligible node draws nothing."""
+    if not rotation_eligible(node):
         return False
     p = node.p_ch
     period = 1.0 / p
@@ -258,9 +256,8 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
     timeout = overhear_energy(radio, radio.d_m_s, data_bits, False)
 
     # (2) election: self-elected heads broadcast across the whole field
-    floor = rotation_floor(config.election)
     heads = [node.id for node in alive
-             if should_elect(node, round_idx, state.streams, floor)]
+             if should_elect(node, round_idx, state.streams)]
     broadcast = tx_energy(radio, ctrl, config.field_diagonal_m)
     broadcast_ok = set()
     for head_id in heads:
@@ -286,7 +283,7 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         if node.id in head_set or not node.alive:
             continue
         choice = choose_head(node, live_heads, head_positions, state,
-                             eligible=rotation_eligible(node, floor))
+                             eligible=rotation_eligible(node))
         if choice is None:
             continue
         if choice == SELF_DECLARE:
@@ -374,9 +371,10 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
     # rotation windows and the next round's election probability.  Nothing
     # here debits, so no node dies.  `election_probability` never reads
     # `rounds_since_head`, so the window moves first and `p_ch` is recomputed
-    # only where the next round can read it, past the floor; nothing it
-    # depends on changes before the next election.
+    # only where its value decides the next election: never head, or at or
+    # past the rotation floor.  Nothing it depends on changes before then.
     became_head = head_set | set(self_declared)
+    floor = rotation_floor(config.election)
     for node in alive:
         if not node.alive:
             continue

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from scfto.config import AttackParams, OutlierParams, SimConfig
+from scfto.config import AttackParams, ElectionParams, OutlierParams, SimConfig
 from scfto.network import init_network
 from scfto.protocol import run_round
 
@@ -40,8 +40,9 @@ def small_configs(draw):
         force_channel=draw(st.sampled_from((None, "good", "bad"))),
         attack=draw(st.one_of(st.just(AttackParams()), _saturated)),
         outlier=OutlierParams(n_s=draw(st.sampled_from((60, 2)))),
-        # short rotation windows (p0_init above p_dt) and the eta extremes
-        election=draw(election_params()),
+        # the defaults, short rotation windows (p0_init above p_dt) and the
+        # eta extremes
+        election=draw(st.one_of(st.just(ElectionParams()), election_params())),
     )
 
 

@@ -149,9 +149,10 @@ def test_election_probability_matches_the_reference(history, extremes, energy):
 @given(n=st.integers(1, 30), rounds=st.integers(1, 60), seed=st.integers(0, 2**32),
        fraction=st.sampled_from((0.0, 0.3, 1.0)), election=election_params())
 def test_rotation_floor_is_exact(n, rounds, seed, fraction, election):
-    # before every round, eligibility under the floor equals the eager rule
-    # on a freshly computed probability, and wherever that rule lets a node
-    # stand, the `p_ch` it reads is that probability
+    # before every round, eligibility on the stored `p_ch` equals the eager
+    # rule on a freshly computed probability, no node inside the floor is
+    # eligible, and wherever the rule lets a node stand, the `p_ch` it reads
+    # is that probability
     config = SimConfig(node_count=n, rounds=rounds, seed=seed,
                        malicious_fraction=fraction, election=election)
     state = init_network(config)
@@ -162,7 +163,9 @@ def test_rotation_floor_is_exact(n, rounds, seed, fraction, election):
                  else reference_election_probability(node, state))
             eager = (node.rounds_since_head is None
                      or node.rounds_since_head >= math.ceil(1.0 / p))
-            assert rotation_eligible(node, floor) == eager
+            assert rotation_eligible(node) == eager
+            if node.rounds_since_head is not None and node.rounds_since_head < floor:
+                assert not eager
             if eager:
                 assert node.p_ch == p
         run_round(state, r)
