@@ -241,7 +241,8 @@ class SimConfig:
     def validate(self, *, flc: bool = True) -> None:
         """Check every key against its `KEY_TABLE` row, then the rules that
         tie keys together.  `flc=False` leaves the controller's keys to
-        `FuzzyTrustEngine`, which checks them as it is built."""
+        `FuzzyTrustEngine`, which checks a controller unless it equals the
+        last one an engine was built from."""
         if not (isinstance(self.bs_position, tuple) and len(self.bs_position) == 2):
             raise ConfigError("bs_x", "bs_position must be a pair (bs_x, bs_y)")
         for key, (path, _, _, check) in KEY_TABLE.items():

@@ -10,13 +10,18 @@ which keeps the trust surface monotone (nonincreasing in the delay ratio,
 nondecreasing in the forwarding rate); see `FuzzyTrustEngine.endpoint_list`.
 
 The linguistic label of a trust value (`FuzzyTrustEngine.classify_trust`)
-comes from slots that each engine builds once from its seven consequent
+comes from slots built once per controller from its seven consequent
 triangles (`label_slots`): one search finds the value's slot, which holds
 either the label at a corner or the few membership lines active between
 two corners, compared exactly as the membership function computes them.
+
+Those slots, the antecedent sets and the consequent triangles depend only
+on the controller's value, so engines built from equal controllers share
+them (see `FuzzyTrustEngine`); each engine keeps its own inference cache.
 """
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -204,22 +209,39 @@ def type_reduce(endpoints: WeightedEndpointList) -> tuple:
 
 
 class FuzzyTrustEngine:
-    """Stateless trust inference pipeline built from one FLC configuration."""
+    """Trust inference pipeline built from one FLC configuration.
+
+    The antecedent sets, consequent triangles and label slots are shared by
+    every engine built from an equal controller, and nothing edits them; the
+    inference cache `_cache` is each engine's own.  The class keeps the
+    tables of the last controller built, keyed on a deep copy of it (a
+    controller's dicts can be edited in place), so a run of equal
+    controllers, such as the configs of one sweep, checks and builds them
+    once.  Any other controller is checked before its tables are built, so
+    a refused one is never kept."""
+
+    _last: tuple = (None, None)  # (copy of the last controller built, its tables)
 
     def __init__(self, flc: FLCConfig | None = None):
         flc = flc if flc is not None else FLCConfig()
-        flc.validate()
+        key, tables = FuzzyTrustEngine._last
+        if flc != key:
+            flc.validate()
+            key = copy.deepcopy(flc)
+            dfd_sets, dfr_sets = (
+                {label: IT2Set(PiecewiseLinearMF(tuple(spec["umf"])),
+                               PiecewiseLinearMF(tuple(spec["lmf"])))
+                 for label, spec in sets.items()}
+                for sets in (key.dfd_sets, key.dfr_sets))
+            trust_sets = {label: T1TrustSet(*key.trust_sets[label])
+                          for label in TRUST_LABELS}
+            tables = (dfd_sets, dfr_sets, trust_sets,
+                      *label_slots([trust_sets[label] for label in TRUST_LABELS]))
+            FuzzyTrustEngine._last = key, tables
         self.flc = flc
-        self.dfd_sets, self.dfr_sets = (
-            {label: IT2Set(PiecewiseLinearMF(tuple(spec["umf"])),
-                           PiecewiseLinearMF(tuple(spec["lmf"])))
-             for label, spec in sets.items()}
-            for sets in (flc.dfd_sets, flc.dfr_sets))
-        self.trust_sets = {label: T1TrustSet(*flc.trust_sets[label])
-                           for label in TRUST_LABELS}
+        (self.dfd_sets, self.dfr_sets, self.trust_sets,
+         self._label_bounds, self._label_slots) = tables
         self._cache: dict = {}
-        self._label_bounds, self._label_slots = label_slots(
-            [self.trust_sets[label] for label in TRUST_LABELS])
 
     def endpoint_list(self, dfd: float, dfr: float) -> WeightedEndpointList:
         """Weighted cut endpoints of the nine rules at one evidence pair.

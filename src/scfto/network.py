@@ -91,7 +91,9 @@ def apportion_tiers(total: int, mix) -> tuple:
 
 def init_network(config: SimConfig) -> SimState:
     """Deploy nodes uniformly at random and assign malicious tiers."""
-    config.validate(flc=False)  # the engine SimState builds checks the controller
+    # SimState's engine checks the controller, unless it equals the last
+    # one an engine was built from, which was checked then
+    config.validate(flc=False)
     state = SimState(config, [])
 
     deploy = state.streams.stream("deploy")

@@ -53,14 +53,11 @@ def detect_threshold(values, params: OutlierParams) -> float | None:
     while counts[seed] <= cutoff:
         seed -= 1
 
-    # values form a sorted array, so the grown cluster is a contiguous run;
-    # only the extreme core values can extend it outward
-    left = right = seed
-    max_core = min_core = vals[seed]
-    while right + 1 < n and vals[right + 1] - max_core < params.t_nbr:
-        right += 1
-        if counts[right] > cutoff:
-            max_core = vals[right]
+    # values form a sorted array, so the grown cluster is a contiguous run
+    # and only its lowest core value extends it downward; the seed is the
+    # highest core value, so what joins above it never reaches the result
+    left = seed
+    min_core = vals[seed]
     while left - 1 >= 0 and min_core - vals[left - 1] < params.t_nbr:
         left -= 1
         if counts[left] > cutoff:

@@ -1,5 +1,6 @@
 """Interval type-2 trust inference: membership, firing, type reduction and
 trust classification."""
+import copy
 import math
 import random
 
@@ -64,12 +65,59 @@ def test_trust_set_symmetry_classification(engine):
 
 
 def test_engine_and_network_refuse_a_bad_controller():
-    # `init_network` leaves the controller to the engine it builds
+    # `init_network` leaves the controller to the engine it builds; `good`
+    # differs from `bad` in one value, and a refused controller is never kept
     bad = FLCConfig(trust_sets={**FLCConfig().trust_sets, "trust": (0.8, 0.6, 1.0)})
-    for build in (lambda: FuzzyTrustEngine(bad), lambda: init_network(SimConfig(trust_flc=bad))):
-        with pytest.raises(ConfigError) as err:
-            build()
-        assert err.value.field == "flc_trust_trust"
+    good = FLCConfig(trust_sets={**FLCConfig().trust_sets, "trust": (0.8, 0.8, 1.0)})
+    for build in (FuzzyTrustEngine, lambda flc: init_network(SimConfig(trust_flc=flc)).engine):
+        assert build(good).trust_sets["trust"] == T1TrustSet(0.8, 0.8, 1.0)
+        for _ in range(2):
+            with pytest.raises(ConfigError) as err:
+                build(bad)
+            assert err.value.field == "flc_trust_trust"
+        assert build(good).trust_sets["trust"] == T1TrustSet(0.8, 0.8, 1.0)
+
+
+# --- tables shared per controller -------------------------------------------
+
+def test_equal_controllers_share_tables_but_not_the_cache():
+    first = FuzzyTrustEngine(FLCConfig())
+    first.evaluate(0.3, 0.9)
+    second = FuzzyTrustEngine(copy.deepcopy(FLCConfig()))
+    for table in ("dfd_sets", "dfr_sets", "trust_sets", "_label_bounds", "_label_slots"):
+        assert getattr(first, table) is getattr(second, table), table
+    assert first._cache and second._cache == {}
+
+
+def test_a_controller_edited_in_place_builds_from_its_new_value():
+    flc = copy.deepcopy(FLCConfig())  # its own antecedent dicts, not the defaults'
+    before = FuzzyTrustEngine(flc)
+    flc.dfd_sets["high"]["lmf"] = ((0.7, 0.0), (0.9, 1.0), (1.0, 1.0))
+    after = FuzzyTrustEngine(flc)
+    assert after.dfd_sets["high"].lmf.points == ((0.7, 0.0), (0.9, 1.0), (1.0, 1.0))
+    assert after.evaluate(0.65, 0.9) != before.evaluate(0.65, 0.9)
+    flc.trust_sets["trust"] = (0.7, 0.75, 0.8)
+    assert FuzzyTrustEngine(flc).classify_trust(0.75) == "trust"
+    assert after.classify_trust(0.75) == "medium_trust"
+
+
+def test_a_shared_build_evaluates_and_classifies_as_a_fresh_one():
+    other = FLCConfig(dfr_bypass=0.3)
+    grid = [i / 40 for i in range(41)]
+    labels_at = [i / 1000 for i in range(1001)]
+
+    def outputs(engine):
+        return ([engine.evaluate(d, r).hex() for d in grid for r in grid],
+                [engine.classify_trust(x) for x in labels_at])
+
+    FuzzyTrustEngine(other)
+    fresh = FuzzyTrustEngine(FLCConfig())  # built, since the last controller differs
+    expected = outputs(fresh)
+    FuzzyTrustEngine(other)
+    built = FuzzyTrustEngine(FLCConfig())
+    shared = FuzzyTrustEngine(FLCConfig())
+    assert fresh.trust_sets is not built.trust_sets is shared.trust_sets
+    assert outputs(shared) == expected
 
 
 # --- consequent cuts --------------------------------------------------------
