@@ -121,21 +121,23 @@ class PiecewiseLinearMF:
         return pts[-1][1]
 
 
-# breakpoints as (x, grade) pairs; antecedents are shared by DFD and DFR
-_DEFAULT_ANTECEDENTS = {
-    "low": {
-        "umf": ((0.0, 1.0), (0.2, 1.0), (0.5, 0.0)),
-        "lmf": ((0.0, 1.0), (0.1, 1.0), (0.4, 0.0)),
-    },
-    "medium": {
-        "umf": ((0.2, 0.0), (0.5, 1.0), (0.8, 0.0)),
-        "lmf": ((0.3, 0.0), (0.5, 1.0), (0.7, 0.0)),
-    },
-    "high": {
-        "umf": ((0.5, 0.0), (0.8, 1.0), (1.0, 1.0)),
-        "lmf": ((0.6, 0.0), (0.9, 1.0), (1.0, 1.0)),
-    },
-}
+def _default_antecedents() -> dict:
+    # breakpoints as (x, grade) pairs; DFD and DFR have the same default
+    # sets, but each config gets its own dicts to edit
+    return {
+        "low": {
+            "umf": ((0.0, 1.0), (0.2, 1.0), (0.5, 0.0)),
+            "lmf": ((0.0, 1.0), (0.1, 1.0), (0.4, 0.0)),
+        },
+        "medium": {
+            "umf": ((0.2, 0.0), (0.5, 1.0), (0.8, 0.0)),
+            "lmf": ((0.3, 0.0), (0.5, 1.0), (0.7, 0.0)),
+        },
+        "high": {
+            "umf": ((0.5, 0.0), (0.8, 1.0), (1.0, 1.0)),
+            "lmf": ((0.6, 0.0), (0.9, 1.0), (1.0, 1.0)),
+        },
+    }
 
 
 def _default_trust_triangles() -> dict:
@@ -154,8 +156,8 @@ def _default_trust_triangles() -> dict:
 class FLCConfig:
     """Membership-function coordinates for the trust inference controller."""
 
-    dfd_sets: dict = field(default_factory=lambda: dict(_DEFAULT_ANTECEDENTS))
-    dfr_sets: dict = field(default_factory=lambda: dict(_DEFAULT_ANTECEDENTS))
+    dfd_sets: dict = field(default_factory=_default_antecedents)
+    dfr_sets: dict = field(default_factory=_default_antecedents)
     trust_sets: dict = field(default_factory=_default_trust_triangles)
     dfr_bypass: float = 0.2  # below this forwarding rate, trust is hard 0
 

@@ -209,12 +209,12 @@ class ScenarioSpec:
                 raise ConfigError(name, "each item may appear only once")
 
 
-def parse_scenario_text(text: str, default_output: str = "out") -> ScenarioSpec:
+def parse_scenario_text(text: str) -> ScenarioSpec:
     config_path = None
     seeds: tuple = ()
     sweep_key = None
     sweep_values: tuple = ()
-    output_dir = default_output
+    output_dir = "out"
     for key, value in read_key_values(text):
         if key == "config":
             config_path = value

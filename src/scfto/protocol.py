@@ -16,9 +16,6 @@ from .phy import ChannelState, overhear_energy, rx_energy, sample_channel_state,
 from .rng import StreamFactory
 from .trust import Outcome, merge_recommendation, record_event, update_direct_trust
 
-SELF_DECLARE = "self-declare"
-
-
 VOUCH_MIN_EVIDENCE = 5
 VOUCH_LEVEL = 0.95
 
@@ -33,15 +30,20 @@ def recommendation_items(head) -> list:
     VOUCH_MIN_EVIDENCE observed forwarding attempts, so a lucky streak
     of two or three clean forwards cannot launder a saboteur's
     reputation across the network.  The list keeps the table's order,
-    since each observed id appears once and the merge is per id.
+    since each observed id appears once and the merge is per id.  Every
+    member's `merge_recommendation` takes the values as trust in [0,1], so
+    that range is checked here, once per list.
     """
     out = []
     for observed, ent in head.trust.entries.items():
-        if ent.value is None or ent.counters.total_forwarding <= 0:
+        value = ent.value
+        if value is None or ent.counters.total_forwarding <= 0:
             continue
-        if ent.value >= VOUCH_LEVEL and ent.counters.total_forwarding < VOUCH_MIN_EVIDENCE:
+        if value >= VOUCH_LEVEL and ent.counters.total_forwarding < VOUCH_MIN_EVIDENCE:
             continue
-        out.append((observed, ent.value))
+        if not 0.0 <= value <= 1.0:
+            raise ValueError("recommended trust must lie in [0,1]")
+        out.append((observed, value))
     return out
 
 
@@ -117,9 +119,9 @@ def should_elect(node: NodeState, round_idx: int, streams: StreamFactory) -> boo
     return streams.stream("elect", node.id, round_idx).random() < threshold
 
 
-def choose_head(node: NodeState, heads: list, positions: list, state: SimState,
-                eligible: bool):
-    """Pick a head among the `n_nch` nearest candidates.
+def choose_head(node: NodeState, heads: list, positions: list, state: SimState):
+    """Pick a head among the `n_nch` nearest candidates, or None when no
+    candidate is acceptable.
 
     `heads` is a list of head ids in ascending order and `positions` holds
     their positions in the same order; the ascending ids make the first of
@@ -127,15 +129,14 @@ def choose_head(node: NodeState, heads: list, positions: list, state: SimState,
     id.  Pre-convergence the node explores Unknown candidates first
     (nearest wins), then the best Known trust (nearest wins a tie).
     Post-convergence it wants the nearest candidate at or above its own
-    detected threshold, falls back to Unknown, and otherwise self-declares
-    when eligible or idles.  Returns a head id, SELF_DECLARE, or None;
-    `run_round` says what a self-declared head does.
+    detected threshold and falls back to Unknown.  `run_round` decides
+    whether a node left without a head self-declares or idles.
 
     A converged node first scans the trust of every head and, when none is
-    Unknown or at or above its threshold, self-declares or idles without
-    measuring a distance.  This is exact: the nearest candidates are some
-    of `heads`, so none of them would be acceptable either.  Once
-    thresholds settle most nodes idle this way in most rounds.
+    Unknown or at or above its threshold, returns None without measuring a
+    distance.  This is exact: the nearest candidates are some of `heads`,
+    so none of them would be acceptable either.  Once thresholds settle
+    most nodes idle or self-declare this way in most rounds.
     """
     converged = node.tracker.converged
     if converged:
@@ -146,18 +147,15 @@ def choose_head(node: NodeState, heads: list, positions: list, state: SimState,
             if t is None or t >= t_th:  # acceptable; the ranking picks which
                 break
         else:
-            return SELF_DECLARE if eligible else None
-    if len(heads) <= 1:  # nothing to rank, as in 40 % of `default` rounds
-        nearest = heads
-    else:
-        # math.dist is SimState.distance, so the ranking is exactly the one
-        # by that distance
-        dists = list(map(math.dist, repeat(node.position), positions))
-        nearest = []
-        for _ in range(min(state.config.join.n_nch, len(heads))):
-            i = dists.index(min(dists))  # the first minimum has the lowest id
-            dists[i] = math.inf  # taken
-            nearest.append(heads[i])
+            return None
+    # math.dist is SimState.distance, so the ranking is exactly the one by
+    # that distance
+    dists = list(map(math.dist, repeat(node.position), positions))
+    nearest = []
+    for _ in range(min(state.config.join.n_nch, len(heads))):
+        i = dists.index(min(dists))  # the first minimum has the lowest id
+        dists[i] = math.inf  # taken
+        nearest.append(heads[i])
     # (trust or None while Unknown, head id), nearest first
     trusts = [(node.trust.value_of(h), h) for h in nearest]
     if converged:
@@ -169,7 +167,7 @@ def choose_head(node: NodeState, heads: list, positions: list, state: SimState,
             return head_id
     if trusts and not converged:
         return max(trusts, key=lambda item: item[0])[1]  # first maximum
-    return SELF_DECLARE if eligible else None
+    return None
 
 
 def head_action(head: NodeState, rng: random.Random | None,
@@ -228,9 +226,10 @@ def observe_forwarding(action: tuple, channel: ChannelState,
 def run_round(state: SimState, round_idx: int) -> RoundReport:
     """Execute one protocol round and report what happened.
 
-    A self-declared head (a node with no head it will join, eligible to
-    lead) counts in `report.heads` and restarts its rotation window, but it
-    never broadcasts, hosts members or pays energy for its headship."""
+    A self-declared head (a node that `choose_head` leaves without a head
+    and that `rotation_eligible` lets lead) counts in `report.heads` and
+    restarts its rotation window, but it never broadcasts, hosts members
+    or pays energy for its headship."""
     config = state.config
     energy_before = state.total_debited_j
     deaths_before = len(state.deaths)
@@ -271,8 +270,9 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
     head_positions = [state.nodes[h].position for h in live_heads]
 
     # (3) joining: non-heads pick a head and send a request with their
-    # residual energy; an unservable node may self-declare.  Members join
-    # in ascending id order, which is their slot order: member i of a
+    # residual energy; a node left without a head self-declares when its
+    # rotation window allows, and otherwise idles.  Members join in
+    # ascending id order, which is their slot order: member i of a
     # cluster sends in slot i.  Distance is symmetric, so a member's
     # request cost is also its head's acceptance cost.
     clusters: dict = {h: [] for h in live_heads}  # head id -> member ids
@@ -282,12 +282,10 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
     for node in alive:
         if node.id in head_set or not node.alive:
             continue
-        choice = choose_head(node, live_heads, head_positions, state,
-                             eligible=rotation_eligible(node))
+        choice = choose_head(node, live_heads, head_positions, state)
         if choice is None:
-            continue
-        if choice == SELF_DECLARE:
-            self_declared.append(node.id)
+            if rotation_eligible(node):
+                self_declared.append(node.id)
             continue
         head = state.nodes[choice]
         trust_at_selection = node.trust.value_of(choice) or 0.0  # Unknown counts 0

@@ -120,8 +120,10 @@ def update_direct_trust(table: TrustTable, engine: FuzzyTrustEngine,
 
 def merge_recommendation(table: TrustTable, recommendations: list,
                          t_head: float | None) -> bool:
-    """Fold one head's recommendations, (observed, trust) pairs, into the
-    table; a recommendation about the table's owner is skipped.
+    """Fold one head's recommendations, (observed, trust) pairs with trust
+    in [0,1], into the table; a recommendation about the table's owner is
+    skipped.  `protocol.recommendation_items` checks that range once per
+    head, where the list is built.
 
     `t_head` is the owner's trust in the recommending head; Unknown or
     zero head trust skips the whole fan-out so "never observed" stays
@@ -137,16 +139,12 @@ def merge_recommendation(table: TrustTable, recommendations: list,
     for observed, t_recommended in recommendations:
         if observed == owner:
             continue
-        if not 0.0 <= t_recommended <= 1.0:
-            raise ValueError("recommended trust must lie in [0,1]")
         ent = entries.get(observed)
         if ent is None:
             ent = entries[observed] = TrustEntry()
         prior = ent.value
         if prior is not None and prior > 0.0:
-            merged = (prior + t_head * t_recommended) / weight
+            ent.value = (prior + t_head * t_recommended) / weight
         else:
-            merged = t_head * t_recommended
-        assert 0.0 <= merged <= 1.0
-        ent.value = merged
+            ent.value = t_head * t_recommended
     return True

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scfto.config import TRUST_LABELS, ElectionParams
 from scfto.fuzzy import NoEvidenceError, WeightedEndpointList
 from scfto.network import NodeState, SimState
-from scfto.protocol import SELF_DECLARE
 
 
 def energy_ledger_error(state: SimState) -> float:
@@ -42,8 +41,7 @@ def reference_type_reduce(endpoints: WeightedEndpointList) -> tuple:
             max(quotients(endpoints.right, 1, 2)))
 
 
-def reference_choose_head(node: NodeState, heads: list, positions: list, state: SimState,
-                          eligible: bool):
+def reference_choose_head(node: NodeState, heads: list, positions: list, state: SimState):
     """`protocol.choose_head` by sorting every (distance, id) pair."""
     pos = node.position
     ranked = sorted([(math.dist(pos, p), h) for p, h in zip(positions, heads)])
@@ -60,7 +58,7 @@ def reference_choose_head(node: NodeState, heads: list, positions: list, state: 
             return head_id
     if trusts and not converged:
         return max(trusts, key=lambda item: item[0])[1]  # first maximum
-    return SELF_DECLARE if eligible else None
+    return None
 
 
 def reference_classify_trust(trust_sets: dict, value: float) -> str:
@@ -88,12 +86,12 @@ def reference_election_probability(node: NodeState, state: SimState) -> float:
 _P_DT = ElectionParams().p_dt
 
 
-def election_params():
+def election_params(p0_above_p_dt: bool = False):
     """`ElectionParams` with p0_init below or above p_dt (up to 0.9, where
-    the rotation floor is 2, its least) and eta at 0, the default 0.4 or
-    0.99; the trust rates keep their defaults."""
+    the rotation floor is 2, its least), or only above it, and eta at 0,
+    the default 0.4 or 0.99; the trust rates keep their defaults."""
+    above = st.floats(_P_DT, 0.9, exclude_min=True)
     return st.builds(
         ElectionParams,
-        p0_init=st.one_of(st.floats(0.01, _P_DT),
-                          st.floats(_P_DT, 0.9, exclude_min=True)),
+        p0_init=above if p0_above_p_dt else st.one_of(st.floats(0.01, _P_DT), above),
         eta=st.sampled_from((0.0, 0.4, 0.99)))

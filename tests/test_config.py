@@ -332,6 +332,15 @@ def test_controller_refuses_non_finite_breakpoints_and_triangles():
     assert err.value.field == "flc_trust_trust"
 
 
+def test_editing_one_default_controller_leaves_the_others_alone():
+    default = FLCConfig().dfd_sets["low"]["umf"]
+    edited = FLCConfig()
+    edited.dfd_sets["low"]["umf"] = ((0.0, 1.0), (0.3, 1.0), (0.6, 0.0))
+    assert edited.dfr_sets["low"]["umf"] == default
+    fresh = FLCConfig()
+    assert fresh.dfd_sets["low"]["umf"] == fresh.dfr_sets["low"]["umf"] == default
+
+
 def flc_with(var: str, **umfs) -> FLCConfig:
     """The default controller with some `var` UMFs replaced, each LMF set
     equal to its UMF."""

@@ -90,7 +90,7 @@ def test_equal_controllers_share_tables_but_not_the_cache():
 
 
 def test_a_controller_edited_in_place_builds_from_its_new_value():
-    flc = copy.deepcopy(FLCConfig())  # its own antecedent dicts, not the defaults'
+    flc = FLCConfig()
     before = FuzzyTrustEngine(flc)
     flc.dfd_sets["high"]["lmf"] = ((0.7, 0.0), (0.9, 1.0), (1.0, 1.0))
     after = FuzzyTrustEngine(flc)

@@ -140,8 +140,8 @@ def test_parse_scenario_text():
 
 def test_spaced_sweep_values_are_stripped(tmp_path):
     spec = parse_scenario_text("seeds = 1\nsweep_key = malicious_fraction\n"
-                               "sweep_values = 0.1, 0.5\n",
-                               default_output=str(tmp_path / "sw"))
+                               "sweep_values = 0.1, 0.5\n"
+                               f"output = {tmp_path / 'sw'}\n")
     assert spec.sweep_values == ("0.1", "0.5")
     run_sweep(spec, base=SimConfig(node_count=5, rounds=2))
     assert (tmp_path / "sw" / "run_0.5_1" / "rounds.csv").exists()
@@ -187,8 +187,8 @@ def test_cli_sweeping_the_seed_is_error_code_2_and_writes_nothing(tmp_path, caps
 
 
 def test_scenario_rejects_unknown_sweep_key(tmp_path):
-    spec = parse_scenario_text("seeds = 1\nsweep_key = bogus\nsweep_values = 1\n",
-                               default_output=str(tmp_path / "sw"))
+    spec = parse_scenario_text("seeds = 1\nsweep_key = bogus\nsweep_values = 1\n"
+                               f"output = {tmp_path / 'sw'}\n")
     with pytest.raises(ConfigError):
         run_sweep(spec)
     assert not (tmp_path / "sw").exists()  # raised before any simulation

@@ -7,13 +7,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scfto import protocol
 from scfto.config import JoinParams, SimConfig
 from scfto.network import NodeState, SimState, init_network
 from scfto.outlier import ConvergenceTracker
 from scfto.phy import ChannelState
 from scfto.rng import StreamFactory
-from scfto.protocol import (SELF_DECLARE, VOUCH_LEVEL, VOUCH_MIN_EVIDENCE,
-                            choose_head, election_probability, head_action,
+from scfto.protocol import (VOUCH_LEVEL, VOUCH_MIN_EVIDENCE, choose_head,
+                            election_probability, head_action,
                             observe_forwarding, recommendation_items,
                             rotation_eligible, rotation_floor, run_round,
                             should_elect)
@@ -190,7 +191,7 @@ def test_choose_head_preconvergence_unknown_first():
     ranked = heads_by_distance(state, node)[: state.config.join.n_nch]
     # give the nearest candidate a Known value; second-nearest stays Unknown
     node.trust.entry(ranked[0]).value = 1.0
-    assert choose_head(node, *candidates(state, ranked), state, eligible=True) == ranked[1]
+    assert choose_head(node, *candidates(state, ranked), state) == ranked[1]
 
 
 def test_choose_head_preconvergence_best_known():
@@ -199,7 +200,7 @@ def test_choose_head_preconvergence_best_known():
     ranked = heads_by_distance(state, node)[: state.config.join.n_nch]
     for i, h in enumerate(ranked):
         node.trust.entry(h).value = 0.2 + 0.1 * i
-    assert choose_head(node, *candidates(state, ranked), state, eligible=True) == ranked[-1]
+    assert choose_head(node, *candidates(state, ranked), state) == ranked[-1]
 
 
 def test_choose_head_preconvergence_tie_goes_to_the_nearer():
@@ -211,15 +212,13 @@ def test_choose_head_preconvergence_tie_goes_to_the_nearer():
                      if a > b)
     for h in (near, far):
         node.trust.entry(h).value = 0.7
-    assert choose_head(node, *candidates(state, [near, far]), state,
-                       eligible=True) == near
+    assert choose_head(node, *candidates(state, [near, far]), state) == near
 
 
-def test_choose_head_no_candidates_self_declares_when_eligible():
+def test_choose_head_no_candidates_returns_none():
     state = small_state()
     node = state.nodes[0]
-    assert choose_head(node, [], [], state, eligible=True) == SELF_DECLARE
-    assert choose_head(node, [], [], state, eligible=False) is None
+    assert choose_head(node, [], [], state) is None
 
 
 def test_choose_head_postconvergence_threshold():
@@ -231,7 +230,7 @@ def test_choose_head_postconvergence_threshold():
     node.trust.entry(ranked[0]).value = 0.5   # below threshold
     node.trust.entry(ranked[1]).value = 0.85  # first acceptable
     node.trust.entry(ranked[2]).value = 0.99
-    assert choose_head(node, *candidates(state, ranked), state, eligible=True) == ranked[1]
+    assert choose_head(node, *candidates(state, ranked), state) == ranked[1]
 
 
 def test_choose_head_postconvergence_falls_back_to_unknown():
@@ -242,10 +241,10 @@ def test_choose_head_postconvergence_falls_back_to_unknown():
     ranked = heads_by_distance(state, node)[:2]
     node.trust.entry(ranked[0]).value = 0.5  # below threshold
     # ranked[1] Unknown -> explored
-    assert choose_head(node, *candidates(state, ranked), state, eligible=True) == ranked[1]
+    assert choose_head(node, *candidates(state, ranked), state) == ranked[1]
 
 
-def test_choose_head_postconvergence_all_bad_self_declares():
+def test_choose_head_postconvergence_all_bad_returns_none():
     state = small_state()
     node = state.nodes[0]
     node.tracker.converged = True
@@ -253,8 +252,7 @@ def test_choose_head_postconvergence_all_bad_self_declares():
     ranked = heads_by_distance(state, node)[:2]
     for h in ranked:
         node.trust.entry(h).value = 0.1
-    assert choose_head(node, *candidates(state, ranked), state, eligible=True) == SELF_DECLARE
-    assert choose_head(node, *candidates(state, ranked), state, eligible=False) is None
+    assert choose_head(node, *candidates(state, ranked), state) is None
 
 
 def converged_node(state, t_th):
@@ -271,8 +269,7 @@ def test_choose_head_converged_with_no_acceptable_head_measures_no_distance():
     for i, h in enumerate(heads):
         node.trust.entry(h).value = 0.79 - 0.1 * i  # Known, below the threshold
     nowhere = [None] * len(heads)  # any distance would raise
-    assert choose_head(node, heads, nowhere, state, eligible=True) == SELF_DECLARE
-    assert choose_head(node, heads, nowhere, state, eligible=False) is None
+    assert choose_head(node, heads, nowhere, state) is None
 
 
 @pytest.mark.parametrize("far_value", [0.9, None])
@@ -284,9 +281,8 @@ def test_choose_head_converged_ignores_an_acceptable_head_beyond_the_nearest(far
     for h in ranked[:2] + ranked[3:]:
         node.trust.entry(h).value = 0.5
     node.trust.entry(ranked[2]).value = far_value  # third nearest: acceptable
-    for eligible, expected in ((True, SELF_DECLARE), (False, None)):
-        args = (node, *candidates(state, ranked), state, eligible)
-        assert choose_head(*args) == reference_choose_head(*args) == expected
+    args = (node, *candidates(state, ranked), state)
+    assert choose_head(*args) is reference_choose_head(*args) is None
 
 
 def test_choose_head_converged_explores_the_farthest_head_when_it_is_unknown():
@@ -295,7 +291,7 @@ def test_choose_head_converged_explores_the_farthest_head_when_it_is_unknown():
     ranked = heads_by_distance(state, node)[:3]
     node.trust.entry(ranked[0]).value = 0.5
     node.trust.entry(ranked[1]).value = 0.7
-    args = (node, *candidates(state, ranked), state, False)
+    args = (node, *candidates(state, ranked), state)
     assert choose_head(*args) == reference_choose_head(*args) == ranked[2]
 
 
@@ -338,9 +334,8 @@ def test_choose_head_matches_the_sort_based_reference(field, data):
             value = data.draw(st.one_of(st.none(), _levels))  # None is Unknown
         if value is not None or data.draw(st.booleans()):  # with or without an entry
             node.trust.entry(h).value = value
-    eligible = data.draw(st.booleans())
-    assert (choose_head(node, heads, positions, state, eligible)
-            == reference_choose_head(node, heads, positions, state, eligible))
+    assert (choose_head(node, heads, positions, state)
+            == reference_choose_head(node, heads, positions, state))
 
 
 # -------------------------------------------------------------- head_action
@@ -461,6 +456,17 @@ def test_recommendations_vouch_gate():
                                           (3, VOUCH_LEVEL - 0.01)]
 
 
+def test_recommendations_reject_out_of_range_trust():
+    state = small_state()
+    head = state.nodes[0]
+    ent = head.trust.entry(1)
+    ent.counters = EvidenceCounters(total_forwarding=VOUCH_MIN_EVIDENCE)
+    for value in (1.5, -0.1, math.nan):
+        ent.value = value
+        with pytest.raises(ValueError):
+            recommendation_items(head)
+
+
 # -------------------------------------------------------------- full rounds
 
 def test_all_normal_forced_good_builds_full_trust():
@@ -514,6 +520,24 @@ def test_run_round_shares_one_counters_record_per_triple():
                for ent in node.trust.entries.values()]
     assert len({tuple(c) for c in records}) > 1
     assert len({id(c) for c in records}) == len({tuple(c) for c in records})
+
+
+def test_a_node_without_a_head_self_declares_exactly_when_eligible(monkeypatch):
+    state = small_state(n=30, seed=3, malicious_fraction=0.3)
+    for r in range(20):
+        run_round(state, r)
+    # from here on no node is elected, so no node has a head to join
+    monkeypatch.setattr(protocol, "should_elect", lambda node, round_idx, streams: False)
+    saw_mixed = False
+    for r in range(20, 60):
+        alive = state.alive_nodes()
+        eligible = {node.id for node in alive if rotation_eligible(node)}
+        saw_mixed |= 0 < len(eligible) < len(alive)
+        report = run_round(state, r)
+        assert report.heads == sorted(eligible)
+        for node in alive:
+            assert (node.rounds_since_head == 0) is (node.id in eligible)
+    assert saw_mixed  # some rounds held eligible and ineligible nodes
 
 
 def test_dead_network_round_is_empty():

@@ -200,12 +200,6 @@ def test_merge_skipped_for_unknown_or_distrusted_head():
     assert 9 not in t.entries
 
 
-def test_merge_rejects_out_of_range_recommendation():
-    t = TrustTable(owner=0)
-    with pytest.raises(ValueError):
-        merge_recommendation(t, [(9, 1.5)], t_head=0.5)
-
-
 def test_merge_fixed_point_when_opinions_agree():
     # if prior == recommendation == v, the merge leaves v unchanged:
     # (v + T*v) / (1 + T) == v for any head trust T.
