@@ -173,7 +173,7 @@ class FLCConfig:
                     if not xs:
                         raise ConfigError(f"flc_{var}_{label}_{kind}",
                                           "needs at least one breakpoint")
-                    if not _holds(all, map(math.isfinite, xs)):
+                    if not _holds(all, map(_FINITE[0], xs)):
                         raise ConfigError(f"flc_{var}_{label}_{kind}",
                                           "breakpoint x values must be finite numbers")
                     if xs != sorted(xs) or len(set(xs)) != len(xs):
@@ -196,7 +196,8 @@ class FLCConfig:
         for label in TRUST_LABELS:
             if label not in self.trust_sets:
                 raise ConfigError(f"flc_trust_{label}", "missing trust set")
-            if not _holds(lambda t: len(t) == 3 and -math.inf < t[0] <= t[1] <= t[2] < math.inf,
+            if not _holds(lambda t: len(t) == 3 and bool not in map(type, t)
+                          and -math.inf < t[0] <= t[1] <= t[2] < math.inf,
                           self.trust_sets[label]):
                 raise ConfigError(f"flc_trust_{label}", "need three finite numbers a <= c <= b")
         if not _holds(_UNIT[0], self.dfr_bypass):
@@ -320,16 +321,20 @@ def _holds(test, value) -> bool:
         return False
 
 
-# row checks: (predicate, message), each written so that NaN fails it
-_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be finite and strictly positive")
-_FINITE = (math.isfinite, "must be finite")
-_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0,1]")
-_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in (0,1)")
+# row checks: (predicate, message), each written so that NaN fails it, and
+# a bool too, with one type test a value: a bool compares as 0 or 1, but a
+# manifest renders it as 'True' or 'False', which no parser reads back
+_POSITIVE = (lambda v: type(v) is not bool and 0.0 < v < math.inf,
+             "must be finite and strictly positive")
+_FINITE = (lambda v: type(v) is not bool and math.isfinite(v), "must be finite")
+_UNIT = (lambda v: type(v) is not bool and 0.0 <= v <= 1.0, "must lie in [0,1]")
+_OPEN_UNIT = (lambda v: type(v) is not bool and 0.0 < v < 1.0, "must lie in (0,1)")
 # every _INT row checks the type, since a Python-built config can hold a
-# float where a file can only hold an integer
-_INTEGER = (lambda v: isinstance(v, int), "must be an integer")
-_COUNT = (lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1")
-_RATIOS = (lambda t: len(t) == 3 and all(r >= 0.0 for r in t) and abs(sum(t) - 1.0) <= 1e-9,
+# float (or a bool) where a file can only hold an integer
+_INTEGER = (lambda v: type(v) is int, "must be an integer")
+_COUNT = (lambda v: type(v) is int and v >= 1, "must be an integer >= 1")
+_RATIOS = (lambda t: len(t) == 3 and bool not in map(type, t) and all(r >= 0.0 for r in t)
+           and abs(sum(t) - 1.0) <= 1e-9,
            "must be three nonnegative ratios summing to 1 within 1e-9")
 _CHANNELS = (lambda v: v in (None, "good", "bad"), "must be 'good', 'bad', or unset")
 _BY_FLC = None  # FLCConfig.validate checks the controller's keys together
@@ -366,7 +371,8 @@ KEY_TABLE = {
         *_keys("election.", _FLOAT, _OPEN_UNIT, "p_ct", "p_t", "p_mt", "p_dt"),
         # eta = 1 would zero the election probability of a member at its
         # cluster's energy minimum
-        ("eta", "election.eta", _FLOAT, (lambda v: 0.0 <= v < 1.0, "must lie in [0,1)")),
+        ("eta", "election.eta", _FLOAT,
+         (lambda v: type(v) is not bool and 0.0 <= v < 1.0, "must lie in [0,1)")),
         ("n_lch", "election.n_lch", _INT, _COUNT),
         ("n_nch", "join.n_nch", _INT, _COUNT),
         ("t_nbr", "outlier.t_nbr", _FLOAT, _POSITIVE),

@@ -22,6 +22,7 @@ them (see `FuzzyTrustEngine`); each engine keeps its own inference cache.
 from __future__ import annotations
 
 import copy
+import marshal
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -214,18 +215,25 @@ class FuzzyTrustEngine:
     The antecedent sets, consequent triangles and label slots are shared by
     every engine built from an equal controller, and nothing edits them; the
     inference cache `_cache` is each engine's own.  The class keeps the
-    tables of the last controller built, keyed on a deep copy of it (a
+    tables of the last controller built, keyed on its marshal image (a
     controller's dicts can be edited in place), so a run of equal
     controllers, such as the configs of one sweep, checks and builds them
-    once.  Any other controller is checked before its tables are built, so
-    a refused one is never kept."""
+    once.  The image tells a bool from the 0 or 1 it equals, so a
+    controller holding one is checked, and refused, like any other.  Any
+    other controller is checked before its tables are built, so a refused
+    one is never kept."""
 
-    _last: tuple = (None, None)  # (copy of the last controller built, its tables)
+    _last: tuple = (None, None)  # (image of the last controller built, its tables)
 
     def __init__(self, flc: FLCConfig | None = None):
         flc = flc if flc is not None else FLCConfig()
-        key, tables = FuzzyTrustEngine._last
-        if flc != key:
+        try:
+            image = marshal.dumps((flc.dfd_sets, flc.dfr_sets, flc.trust_sets,
+                                   flc.dfr_bypass), 2)  # version 2 writes no shared refs
+        except ValueError:  # a value marshal cannot write, such as a Fraction
+            image = None
+        last, tables = FuzzyTrustEngine._last
+        if image is None or image != last:
             flc.validate()
             key = copy.deepcopy(flc)
             dfd_sets, dfr_sets = (
@@ -237,7 +245,7 @@ class FuzzyTrustEngine:
                           for label in TRUST_LABELS}
             tables = (dfd_sets, dfr_sets, trust_sets,
                       *label_slots([trust_sets[label] for label in TRUST_LABELS]))
-            FuzzyTrustEngine._last = key, tables
+            FuzzyTrustEngine._last = image, tables
         self.flc = flc
         (self.dfd_sets, self.dfr_sets, self.trust_sets,
          self._label_bounds, self._label_slots) = tables

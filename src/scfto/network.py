@@ -17,24 +17,26 @@ NORMAL = 0  # tier 0 is a normal node; tiers 1..3 are malicious
 
 @dataclass(slots=True)
 class NodeState:
+    # the seven values `init_network` sets per node lead, so that it builds
+    # each node with one positional call; every other caller passes keywords
     id: int
     position: tuple
     energy_j: float
     tier: int = NORMAL
-    head_history: list = field(default_factory=list)  # trust at selection, last n_lch heads
-    rounds_since_head: int | None = None  # None means "never been head"
-    alive: bool = True
     # head probability for the next election; `run_round` keeps it current
     # only where the node was never head or is at or past the rotation floor.
     # Inside the floor it holds its last value, which `rotation_eligible`
     # still reads but which gives the same answer as any current value
     # (`protocol.rotation_floor`)
     p_ch: float = 0.07
+    trust: TrustTable = None
+    tracker: ConvergenceTracker = None
+    head_history: list = field(default_factory=list)  # trust at selection, last n_lch heads
+    rounds_since_head: int | None = None  # None means "never been head"
+    alive: bool = True
     # latest acceptance-message energy extremes, for the election formula
     e_max: float | None = None
     e_min: float | None = None
-    trust: TrustTable = None
-    tracker: ConvergenceTracker = None
 
     @property
     def malicious(self) -> bool:
@@ -96,9 +98,9 @@ def init_network(config: SimConfig) -> SimState:
     config.validate(flc=False)
     state = SimState(config, [])
 
-    deploy = state.streams.stream("deploy")
-    positions = [(deploy.uniform(0.0, config.field_width_m),
-                  deploy.uniform(0.0, config.field_height_m))
+    # width * random() is exactly what uniform(0.0, width) computes
+    draw = state.streams.stream("deploy").random
+    positions = [(config.field_width_m * draw(), config.field_height_m * draw())
                  for _ in range(config.node_count)]
 
     malicious_total = int(math.floor(config.node_count * config.malicious_fraction + 0.5))
@@ -112,15 +114,8 @@ def init_network(config: SimConfig) -> SimState:
             tier_of[node_id] = tier
         cursor += count
 
-    for node_id in range(config.node_count):
-        node = NodeState(
-            id=node_id,
-            position=positions[node_id],
-            energy_j=config.initial_energy_j,
-            tier=tier_of.get(node_id, NORMAL),
-            p_ch=config.election.p0_init,
-            trust=TrustTable(node_id),
-            tracker=ConvergenceTracker(),
-        )
-        state.nodes.append(node)
+    e0, p0 = config.initial_energy_j, config.election.p0_init
+    state.nodes = [NodeState(i, pos, e0, tier_of.get(i, NORMAL), p0,
+                             TrustTable(i), ConvergenceTracker())
+                   for i, pos in enumerate(positions)]
     return state

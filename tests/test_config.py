@@ -24,7 +24,7 @@ from scfto.config import (
     dump_config,
     parse_config_text,
 )
-from scfto.network import apportion_tiers
+from scfto.network import apportion_tiers, init_network
 
 
 def test_defaults_validate():
@@ -313,11 +313,31 @@ def test_every_key_refuses_non_finite_values(key):
     # and a triangle with four corners
     (_set_path(SimConfig(), KEY_TABLE["flc_trust_trust"][0], (0.6, 0.8, 1.0, 1.0)),
      "flc_trust_trust"),
+    # a bool where a number goes: it compares as 0 or 1, so a range check
+    # alone passes it, but a manifest renders it as True or False, which no
+    # parser reads back
+    (SimConfig(rounds=True), "rounds"),
+    (SimConfig(seed=False), "seed"),
+    (SimConfig(malicious_fraction=False), "malicious_fraction"),
+    (SimConfig(tier_mix=(True, False, False)), "tier_mix"),
+    (SimConfig(bs_position=(True, 50.0)), "bs_x"),
+    (SimConfig(trust_flc=FLCConfig(dfr_bypass=False)), "dfr_bypass"),
+    (_set_path(SimConfig(), KEY_TABLE["flc_trust_complete_trust"][0],
+               (*FLCConfig().trust_sets["complete_trust"][:2], True)), "flc_trust_complete_trust"),
+    (_set_path(SimConfig(), KEY_TABLE["flc_dfd_low_umf"][0],
+               ((False, 1.0), (0.2, 1.0), (0.5, 0.0))), "flc_dfd_low_umf"),
+    (_set_path(SimConfig(), KEY_TABLE["flc_dfr_high_lmf"][0],
+               ((0.6, 0.0), (0.9, 1.0), (1.0, True))), "flc_dfr_high_lmf"),
+    *[(_set_path(SimConfig(), path, True), key)
+      for key, (path, parse, _, _) in KEY_TABLE.items()
+      if parse in (float, int) and key not in ("rounds", "seed")],
 ])
 def test_python_built_configs_are_checked_by_file_key(cfg, key):
-    with pytest.raises(ConfigError) as err:
-        cfg.validate()
-    assert err.value.field == key
+    # both where a config is checked and where a run starts
+    for check in (cfg.validate, lambda: init_network(cfg)):
+        with pytest.raises(ConfigError) as err:
+            check()
+        assert err.value.field == key
 
 
 def test_controller_refuses_non_finite_breakpoints_and_triangles():

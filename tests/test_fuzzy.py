@@ -3,6 +3,7 @@ trust classification."""
 import copy
 import math
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,29 @@ def test_a_controller_edited_in_place_builds_from_its_new_value():
     flc.trust_sets["trust"] = (0.7, 0.75, 0.8)
     assert FuzzyTrustEngine(flc).classify_trust(0.75) == "trust"
     assert after.classify_trust(0.75) == "medium_trust"
+
+
+def test_a_bool_is_not_taken_for_the_number_it_equals():
+    # a bool compares equal to 0 or 1, but no manifest can replay it
+    complete_trust = FLCConfig().trust_sets["complete_trust"]
+    for built, flc, key in [
+        (FLCConfig(dfr_bypass=0.0), FLCConfig(dfr_bypass=False), "dfr_bypass"),
+        (FLCConfig(), FLCConfig(trust_sets={**FLCConfig().trust_sets, "complete_trust":
+                                            (*complete_trust[:2], True)}),
+         "flc_trust_complete_trust"),
+    ]:
+        assert flc == built
+        FuzzyTrustEngine(built)
+        with pytest.raises(ConfigError) as err:
+            FuzzyTrustEngine(flc)
+        assert err.value.field == key
+
+
+def test_a_controller_marshal_cannot_write_is_checked_and_built_each_time():
+    flc = FLCConfig(trust_sets=OrderedDict(FLCConfig().trust_sets))
+    first, second = FuzzyTrustEngine(flc), FuzzyTrustEngine(flc)
+    assert first.trust_sets is not second.trust_sets
+    assert first.evaluate(0.3, 0.9) == FuzzyTrustEngine(FLCConfig()).evaluate(0.3, 0.9)
 
 
 def test_a_shared_build_evaluates_and_classifies_as_a_fresh_one():
