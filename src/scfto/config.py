@@ -8,6 +8,7 @@ constants.  Unknown keys in a config file are rejected (typo protection).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
@@ -164,26 +165,14 @@ class FLCConfig:
     def validate(self) -> None:
         umfs = {"dfd": {}, "dfr": {}}  # var -> label -> UMF, for the coverage check
         for var, sets in (("dfd", self.dfd_sets), ("dfr", self.dfr_sets)):
+            _check_keys(sets, ("low", "medium", "high"), f"flc_{var}_{{}}_umf")
             for label in ("low", "medium", "high"):
-                if label not in sets:
-                    raise ConfigError(f"flc_{var}_{label}", "missing antecedent set")
+                _check_keys(sets[label], ("umf", "lmf"), f"flc_{var}_{label}_{{}}")
                 for kind in ("umf", "lmf"):
-                    pts = sets[label][kind]
-                    xs = [x for x, _ in pts]
-                    if not xs:
+                    if not _POINTS[0](pts := sets[label][kind]):
                         raise ConfigError(f"flc_{var}_{label}_{kind}",
-                                          "needs at least one breakpoint")
-                    if not _holds(all, map(_FINITE[0], xs)):
-                        raise ConfigError(f"flc_{var}_{label}_{kind}",
-                                          "breakpoint x values must be finite numbers")
-                    if xs != sorted(xs) or len(set(xs)) != len(xs):
-                        raise ConfigError(f"flc_{var}_{label}_{kind}",
-                                          "breakpoint x values must be strictly increasing")
-                    if not _holds(all, (_UNIT[0](g) for _, g in pts)):
-                        raise ConfigError(f"flc_{var}_{label}_{kind}",
-                                          "grades must be numbers in [0,1]")
-                umf, lmf = (PiecewiseLinearMF(tuple(sets[label][kind]))
-                            for kind in ("umf", "lmf"))
+                                          f"{_POINTS[1]}, got {pts!r}")
+                umf, lmf = (PiecewiseLinearMF(sets[label][kind]) for kind in ("umf", "lmf"))
                 # both are linear between neighbouring points of this set, so
                 # LMF <= UMF on [0,1] holds exactly when it holds on the set
                 checkpoints = {0.0, 1.0, *(x for x, _ in umf.points + lmf.points
@@ -193,15 +182,12 @@ class FLCConfig:
                         raise ConfigError(f"flc_{var}_{label}_lmf",
                                           f"lower membership exceeds upper at x={x!r}")
                 umfs[var][label] = umf
+        _check_keys(self.trust_sets, TRUST_LABELS, "flc_trust_{}")
         for label in TRUST_LABELS:
-            if label not in self.trust_sets:
-                raise ConfigError(f"flc_trust_{label}", "missing trust set")
-            if not _holds(lambda t: len(t) == 3 and bool not in map(type, t)
-                          and -math.inf < t[0] <= t[1] <= t[2] < math.inf,
-                          self.trust_sets[label]):
-                raise ConfigError(f"flc_trust_{label}", "need three finite numbers a <= c <= b")
-        if not _holds(_UNIT[0], self.dfr_bypass):
-            raise ConfigError("dfr_bypass", "must lie in [0,1]")
+            if not _TRIANGLE[0](t := self.trust_sets[label]):
+                raise ConfigError(f"flc_trust_{label}", f"{_TRIANGLE[1]}, got {t!r}")
+        if not _UNIT[0](self.dfr_bypass):
+            raise ConfigError("dfr_bypass", f"{_UNIT[1]}, got {self.dfr_bypass!r}")
         # some rule must fire wherever the engine infers: dfd in [0,1] and dfr
         # in [dfr_bypass,1].  The UMFs are linear between their breakpoints,
         # so checking those and both ends is exact; a breakpoint listed with
@@ -246,10 +232,10 @@ class SimConfig:
         tie keys together.  `flc=False` leaves the controller's keys to
         `FuzzyTrustEngine`, which checks a controller unless it equals the
         last one an engine was built from."""
-        if not (isinstance(self.bs_position, tuple) and len(self.bs_position) == 2):
+        if not (type(self.bs_position) is tuple and len(self.bs_position) == 2):
             raise ConfigError("bs_x", "bs_position must be a pair (bs_x, bs_y)")
         for key, (path, _, _, check) in KEY_TABLE.items():
-            if check is not None and not _holds(check[0], value := reduce(_get, path, self)):
+            if check is not None and not check[0](value := reduce(_get, path, self)):
                 raise ConfigError(key, f"{check[1]}, got {value!r}")
         if 3 * self.attack.p_sf + 3 * self.attack.p_df > 1.0 + 1e-12:
             raise ConfigError("p_sf", "tier-3 action probabilities exceed 1: "
@@ -312,32 +298,46 @@ _BREAKPOINTS = (_parse_breakpoints, lambda pts: ",".join(f"{x!r}:{g!r}" for x, g
 _CHANNEL = (_parse_channel_force, lambda v: v or "none")
 
 
-def _holds(test, value) -> bool:
-    """`test(value)`, and False where the test meets a type it cannot
-    compare: a Python-built config can hold a string where a number goes."""
-    try:
-        return test(value)
-    except TypeError:
-        return False
-
-
-# row checks: (predicate, message), each written so that NaN fails it, and
-# a bool too, with one type test a value: a bool compares as 0 or 1, but a
-# manifest renders it as 'True' or 'False', which no parser reads back
-_POSITIVE = (lambda v: type(v) is not bool and 0.0 < v < math.inf,
+# row checks: (predicate, message).  A config holds only what its file can:
+# a number is an int or a float in the float range, which each predicate
+# tests first, one type test a value, so NaN, an infinity, a bool (whose
+# manifest line would read True or False), a Fraction, a Decimal, a string
+# and an int too large for a float all fail before any comparison.
+_NUMBER = (int, float)
+_MAX = sys.float_info.max
+_POSITIVE = (lambda v: type(v) in _NUMBER and 0.0 < v <= _MAX,
              "must be finite and strictly positive")
-_FINITE = (lambda v: type(v) is not bool and math.isfinite(v), "must be finite")
-_UNIT = (lambda v: type(v) is not bool and 0.0 <= v <= 1.0, "must lie in [0,1]")
-_OPEN_UNIT = (lambda v: type(v) is not bool and 0.0 < v < 1.0, "must lie in (0,1)")
+_FINITE = (lambda v: type(v) in _NUMBER and -_MAX <= v <= _MAX, "must be finite")
+_UNIT = (lambda v: type(v) in _NUMBER and 0.0 <= v <= 1.0, "must lie in [0,1]")
+_OPEN_UNIT = (lambda v: type(v) in _NUMBER and 0.0 < v < 1.0, "must lie in (0,1)")
 # every _INT row checks the type, since a Python-built config can hold a
 # float (or a bool) where a file can only hold an integer
 _INTEGER = (lambda v: type(v) is int, "must be an integer")
 _COUNT = (lambda v: type(v) is int and v >= 1, "must be an integer >= 1")
-_RATIOS = (lambda t: len(t) == 3 and bool not in map(type, t) and all(r >= 0.0 for r in t)
+_RATIOS = (lambda t: type(t) is tuple and len(t) == 3
+           and all(type(r) in _NUMBER and 0.0 <= r <= 1.0 for r in t)
            and abs(sum(t) - 1.0) <= 1e-9,
-           "must be three nonnegative ratios summing to 1 within 1e-9")
+           "must be three ratios in [0,1] summing to 1 within 1e-9")
+# the controller's values, which FLCConfig.validate checks
+_POINTS = (lambda pts: type(pts) is tuple and len(pts) > 0
+           and all(type(p) is tuple and len(p) == 2 and _FINITE[0](p[0]) and _UNIT[0](p[1])
+                   for p in pts)
+           and all(p[0] < q[0] for p, q in zip(pts, pts[1:])),
+           "must be (x, grade) pairs, x finite and strictly increasing, grades in [0,1]")
+_TRIANGLE = (lambda t: type(t) is tuple and len(t) == 3 and all(map(_FINITE[0], t))
+             and t[0] <= t[1] <= t[2],
+             "must be three finite numbers a <= c <= b")
 _CHANNELS = (lambda v: v in (None, "good", "bad"), "must be 'good', 'bad', or unset")
 _BY_FLC = None  # FLCConfig.validate checks the controller's keys together
+
+
+def _check_keys(sets, labels: tuple, key: str) -> None:
+    """Refuse `sets` unless it is a dict with exactly the keys `labels`; the
+    error names `key` filled in with the first label missing, or the first."""
+    if type(sets) is not dict or sets.keys() != set(labels):
+        missing = [k for k in labels if type(sets) is not dict or k not in sets]
+        raise ConfigError(key.format((missing or labels)[0]),
+                          f"must be a dict with exactly the keys {labels}, got {sets!r}")
 
 
 def _keys(prefix: str, kind: tuple, check, *names: str) -> list:
@@ -372,7 +372,7 @@ KEY_TABLE = {
         # eta = 1 would zero the election probability of a member at its
         # cluster's energy minimum
         ("eta", "election.eta", _FLOAT,
-         (lambda v: type(v) is not bool and 0.0 <= v < 1.0, "must lie in [0,1)")),
+         (lambda v: type(v) in _NUMBER and 0.0 <= v < 1.0, "must lie in [0,1)")),
         ("n_lch", "election.n_lch", _INT, _COUNT),
         ("n_nch", "join.n_nch", _INT, _COUNT),
         ("t_nbr", "outlier.t_nbr", _FLOAT, _POSITIVE),

@@ -33,7 +33,8 @@ _FULL_FIRING = 1.0 - 1e-12
 
 
 class NoEvidenceError(ValueError):
-    """Raised when type reduction is attempted with all-zero grades."""
+    """No evidence to infer from: type reduction met all-zero grades, or
+    `trust.evidence` met a node with no forwarding observations."""
 
 
 @dataclass(frozen=True)
@@ -230,15 +231,14 @@ class FuzzyTrustEngine:
         try:
             image = marshal.dumps((flc.dfd_sets, flc.dfr_sets, flc.trust_sets,
                                    flc.dfr_bypass), 2)  # version 2 writes no shared refs
-        except ValueError:  # a value marshal cannot write, such as a Fraction
+        except ValueError:  # a value marshal cannot write, which validate refuses
             image = None
         last, tables = FuzzyTrustEngine._last
         if image is None or image != last:
             flc.validate()
             key = copy.deepcopy(flc)
             dfd_sets, dfr_sets = (
-                {label: IT2Set(PiecewiseLinearMF(tuple(spec["umf"])),
-                               PiecewiseLinearMF(tuple(spec["lmf"])))
+                {label: IT2Set(PiecewiseLinearMF(spec["umf"]), PiecewiseLinearMF(spec["lmf"]))
                  for label, spec in sets.items()}
                 for sets in (key.dfd_sets, key.dfr_sets))
             trust_sets = {label: T1TrustSet(*key.trust_sets[label])

@@ -7,17 +7,13 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fuzzy import FuzzyTrustEngine
+from .fuzzy import FuzzyTrustEngine, NoEvidenceError
 
 
 class Outcome(enum.Enum):
     FORWARDED = "forwarded"
     FORWARDED_DELAYED = "forwarded_delayed"
     DROPPED = "dropped"
-
-
-class NoEvidence(ValueError):
-    """No forwarding observations recorded for this node yet."""
 
 
 class EvidenceCounters(NamedTuple):
@@ -49,7 +45,7 @@ def evidence(counters: EvidenceCounters) -> tuple:
     because dfr = 0 forces trust 0 through the bypass rule anyway.
     """
     if counters.total_forwarding <= 0:
-        raise NoEvidence("no forwarding observations")
+        raise NoEvidenceError("no forwarding observations")
     dfr = counters.successes / counters.total_forwarding
     dfd = counters.delayed / counters.successes if counters.successes > 0 else 0.0
     return dfr, dfd

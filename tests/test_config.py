@@ -1,10 +1,13 @@
 """Configuration records, validation, and the flat key-value file format."""
 import math
 import re
+from collections import OrderedDict
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from scfto.config import (
     KEY_TABLE,
@@ -331,13 +334,53 @@ def test_every_key_refuses_non_finite_values(key):
     *[(_set_path(SimConfig(), path, True), key)
       for key, (path, parse, _, _) in KEY_TABLE.items()
       if parse in (float, int) and key not in ("rounds", "seed")],
+    # a config holds only what its file can.  These ran, though no file
+    # could hold them ...
+    (SimConfig(malicious_fraction=Fraction(1, 5)), "malicious_fraction"),
+    (SimConfig(bs_position=(Fraction(150), 50.0)), "bs_x"),
+    (SimConfig(trust_flc=FLCConfig(dfr_bypass=Fraction(1, 5))), "dfr_bypass"),
+    (SimConfig(tier_mix=[0.3, 0.4, 0.3]), "tier_mix"),
+    (_set_path(SimConfig(), KEY_TABLE["flc_dfd_high_umf"][0],
+               [(0.5, 0.0), (0.8, 1.0), (1.0, 1.0)]), "flc_dfd_high_umf"),
+    (SimConfig(trust_flc=FLCConfig(trust_sets=OrderedDict(FLCConfig().trust_sets))),
+     "flc_trust_complete_distrust"),
+    # ... and these crashed: a Decimal, an int too large for a float, and a
+    # controller of the wrong shape
+    (SimConfig(malicious_fraction=Decimal("0.2")), "malicious_fraction"),
+    (SimConfig(field_width_m=Decimal(100)), "field_width_m"),
+    (SimConfig(field_width_m=10**400), "field_width_m"),
+    (SimConfig(bs_position=(10**400, 0.0)), "bs_x"),
+    (_set_path(SimConfig(), ("trust_flc", "dfd_sets", "low"),
+               {"umf": FLCConfig().dfd_sets["low"]["umf"]}), "flc_dfd_low_lmf"),
+    (_set_path(SimConfig(), KEY_TABLE["flc_dfr_medium_umf"][0],
+               ((0.2, 0.0, 0.0), (0.5, 1.0), (0.8, 0.0))), "flc_dfr_medium_umf"),
+    (SimConfig(trust_flc=FLCConfig(dfd_sets=None)), "flc_dfd_low_umf"),
+    (_set_path(SimConfig(), ("trust_flc", "dfr_sets", "extra"), {"umf": ((0.0, 1.0),)}),
+     "flc_dfr_low_umf"),
 ])
 def test_python_built_configs_are_checked_by_file_key(cfg, key):
+    assert_refused(cfg, key)
+
+
+def assert_refused(cfg, key):
     # both where a config is checked and where a run starts
     for check in (cfg.validate, lambda: init_network(cfg)):
         with pytest.raises(ConfigError) as err:
             check()
         assert err.value.field == key
+
+
+_FOREIGN = [True, False, Fraction(1, 5), Decimal("0.5"), "0.5", [0.5], None, 10**400, math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(list(KEY_TABLE)), value=st.sampled_from(_FOREIGN))
+def test_a_value_no_file_can_hold_is_refused_by_its_key(key, value):
+    path, parse, _, _ = KEY_TABLE[key]
+    # a file can hold 10**400 at an integer key, and an unset channel
+    assume(not (parse is int and type(value) is int))
+    assume(not (key == "force_channel" and value is None))
+    assert_refused(_set_path(SimConfig(), path, value), key)
 
 
 def test_controller_refuses_non_finite_breakpoints_and_triangles():

@@ -4,6 +4,7 @@ import copy
 import math
 import random
 from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,11 +119,17 @@ def test_a_bool_is_not_taken_for_the_number_it_equals():
         assert err.value.field == key
 
 
-def test_a_controller_marshal_cannot_write_is_checked_and_built_each_time():
-    flc = FLCConfig(trust_sets=OrderedDict(FLCConfig().trust_sets))
-    first, second = FuzzyTrustEngine(flc), FuzzyTrustEngine(flc)
-    assert first.trust_sets is not second.trust_sets
-    assert first.evaluate(0.3, 0.9) == FuzzyTrustEngine(FLCConfig()).evaluate(0.3, 0.9)
+def test_a_controller_marshal_cannot_write_is_checked_each_time():
+    # a dict subclass or a Fraction has no marshal image, so it is never
+    # taken for the last controller built, and no file can hold it
+    for flc, key in [
+        (FLCConfig(trust_sets=OrderedDict(FLCConfig().trust_sets)), "flc_trust_complete_distrust"),
+        (FLCConfig(dfr_bypass=Fraction(1, 5)), "dfr_bypass"),
+    ]:
+        for _ in range(2):
+            with pytest.raises(ConfigError) as err:
+                FuzzyTrustEngine(flc)
+            assert err.value.field == key
 
 
 def test_a_shared_build_evaluates_and_classifies_as_a_fresh_one():

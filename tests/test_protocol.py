@@ -146,6 +146,29 @@ def test_election_probability_matches_the_reference(history, extremes, energy):
     assert election_probability(node, state) == reference_election_probability(node, state)
 
 
+@settings(max_examples=300, deadline=None)
+@given(history=st.lists(_history_value, min_size=1, max_size=4),
+       rises=st.lists(_share, min_size=4, max_size=4),
+       extremes=st.tuples(_energy, _energy), energies=st.tuples(_energy, _energy))
+def test_more_energy_or_less_trust_never_lowers_the_election_probability(
+        history, rises, extremes, energies):
+    # the abstract: "a normal sensor node with more residual energy or less
+    # confidence on other nodes has higher probability to be the cluster head"
+    state = small_state()
+    node = state.nodes[0]
+    node.e_max, node.e_min = sorted(extremes, reverse=True)
+
+    def p(history, energy):
+        node.head_history, node.energy_j = history, energy
+        return election_probability(node, state)
+
+    low, high = sorted(energies)
+    assert p(history, low) <= p(history, high)
+    trusted = [min(1.0, h + r) for h, r in zip(history, rises)]
+    for energy in energies:
+        assert p(trusted, energy) <= p(history, energy)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 30), rounds=st.integers(1, 60), seed=st.integers(0, 2**32),
        fraction=st.sampled_from((0.0, 0.3, 1.0)), election=election_params())

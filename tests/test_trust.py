@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scfto import trust
-from scfto.fuzzy import FuzzyTrustEngine
-from scfto.trust import (NO_EVIDENCE, EvidenceCounters, NoEvidence, Outcome,
+from scfto.fuzzy import FuzzyTrustEngine, NoEvidenceError
+from scfto.trust import (NO_EVIDENCE, EvidenceCounters, Outcome,
                          TrustTable, evidence, merge_recommendation, record_event,
                          update_direct_trust)
 
@@ -29,7 +29,7 @@ def test_evidence_ratios():
 
 
 def test_evidence_no_observations_raises():
-    with pytest.raises(NoEvidence):
+    with pytest.raises(NoEvidenceError):
         evidence(EvidenceCounters())
 
 
