@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
-from functools import reduce
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import partial, reduce
+from operator import attrgetter
 
 from . import __version__
 
@@ -171,7 +172,7 @@ class FLCConfig:
                 for kind in ("umf", "lmf"):
                     if not _POINTS[0](pts := sets[label][kind]):
                         raise ConfigError(f"flc_{var}_{label}_{kind}",
-                                          f"{_POINTS[1]}, got {pts!r}")
+                                          f"{_POINTS[1]}, got {_shown(pts)}")
                 umf, lmf = (PiecewiseLinearMF(sets[label][kind]) for kind in ("umf", "lmf"))
                 # both are linear between neighbouring points of this set, so
                 # LMF <= UMF on [0,1] holds exactly when it holds on the set
@@ -185,9 +186,9 @@ class FLCConfig:
         _check_keys(self.trust_sets, TRUST_LABELS, "flc_trust_{}")
         for label in TRUST_LABELS:
             if not _TRIANGLE[0](t := self.trust_sets[label]):
-                raise ConfigError(f"flc_trust_{label}", f"{_TRIANGLE[1]}, got {t!r}")
+                raise ConfigError(f"flc_trust_{label}", f"{_TRIANGLE[1]}, got {_shown(t)}")
         if not _UNIT[0](self.dfr_bypass):
-            raise ConfigError("dfr_bypass", f"{_UNIT[1]}, got {self.dfr_bypass!r}")
+            raise ConfigError("dfr_bypass", f"{_UNIT[1]}, got {_shown(self.dfr_bypass)}")
         # some rule must fire wherever the engine infers: dfd in [0,1] and dfr
         # in [dfr_bypass,1].  The UMFs are linear between their breakpoints,
         # so checking those and both ends is exact; a breakpoint listed with
@@ -228,15 +229,19 @@ class SimConfig:
     force_channel: str | None = None  # "good" / "bad" testing override
 
     def validate(self, *, flc: bool = True) -> None:
-        """Check every key against its `KEY_TABLE` row, then the rules that
-        tie keys together.  `flc=False` leaves the controller's keys to
-        `FuzzyTrustEngine`, which checks a controller unless it equals the
-        last one an engine was built from."""
+        """Check that each sub-record is its dataclass, then every key
+        against its `KEY_TABLE` row, then the rules that tie keys together.
+        `flc=False` leaves the controller's keys to `FuzzyTrustEngine`,
+        which checks a controller unless it equals the last one an engine
+        was built from."""
+        for name, record, key in _RECORDS:
+            if type(value := getattr(self, name)) is not record:
+                raise ConfigError(key, f"{name} must be a {record.__name__}, got {_shown(value)}")
         if not (type(self.bs_position) is tuple and len(self.bs_position) == 2):
             raise ConfigError("bs_x", "bs_position must be a pair (bs_x, bs_y)")
-        for key, (path, _, _, check) in KEY_TABLE.items():
-            if check is not None and not check[0](value := reduce(_get, path, self)):
-                raise ConfigError(key, f"{check[1]}, got {value!r}")
+        for key, read, (test, message) in _CHECKED:
+            if not test(value := read(self)):
+                raise ConfigError(key, f"{message}, got {_shown(value)}")
         if 3 * self.attack.p_sf + 3 * self.attack.p_df > 1.0 + 1e-12:
             raise ConfigError("p_sf", "tier-3 action probabilities exceed 1: "
                                       "need 3*p_sf + 3*p_df <= 1")
@@ -311,9 +316,12 @@ _FINITE = (lambda v: type(v) in _NUMBER and -_MAX <= v <= _MAX, "must be finite"
 _UNIT = (lambda v: type(v) in _NUMBER and 0.0 <= v <= 1.0, "must lie in [0,1]")
 _OPEN_UNIT = (lambda v: type(v) in _NUMBER and 0.0 < v < 1.0, "must lie in (0,1)")
 # every _INT row checks the type, since a Python-built config can hold a
-# float (or a bool) where a file can only hold an integer
-_INTEGER = (lambda v: type(v) is int, "must be an integer")
-_COUNT = (lambda v: type(v) is int and v >= 1, "must be an integer >= 1")
+# float (or a bool) where a file can only hold an integer.  An integer, too,
+# lies in the float range: a manifest could not write one of 4300 digits.
+_INTEGER = (lambda v: type(v) is int and -_MAX <= v <= _MAX,
+            "must be an integer in the float range")
+_COUNT = (lambda v: type(v) is int and 1 <= v <= _MAX,
+          "must be an integer >= 1 in the float range")
 _RATIOS = (lambda t: type(t) is tuple and len(t) == 3
            and all(type(r) in _NUMBER and 0.0 <= r <= 1.0 for r in t)
            and abs(sum(t) - 1.0) <= 1e-9,
@@ -331,13 +339,21 @@ _CHANNELS = (lambda v: v in (None, "good", "bad"), "must be 'good', 'bad', or un
 _BY_FLC = None  # FLCConfig.validate checks the controller's keys together
 
 
+def _shown(value) -> str:
+    """`repr(value)`, or a stand-in for an int too long to write as text."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to write"
+
+
 def _check_keys(sets, labels: tuple, key: str) -> None:
     """Refuse `sets` unless it is a dict with exactly the keys `labels`; the
     error names `key` filled in with the first label missing, or the first."""
     if type(sets) is not dict or sets.keys() != set(labels):
         missing = [k for k in labels if type(sets) is not dict or k not in sets]
         raise ConfigError(key.format((missing or labels)[0]),
-                          f"must be a dict with exactly the keys {labels}, got {sets!r}")
+                          f"must be a dict with exactly the keys {labels}, got {_shown(sets)}")
 
 
 def _keys(prefix: str, kind: tuple, check, *names: str) -> list:
@@ -347,7 +363,7 @@ def _keys(prefix: str, kind: tuple, check, *names: str) -> list:
 
 # file key -> (path into SimConfig, parser, renderer, check), in manifest
 # order.  A path step is an attribute name, a dict key or a tuple index.
-# `SimConfig.validate` applies each row's check; `seed` takes any integer.
+# `SimConfig.validate` applies each row's check.
 KEY_TABLE = {
     key: (tuple(int(s) if s.isdigit() else s for s in path.split(".")), *kind, check)
     for key, path, kind, check in [
@@ -392,6 +408,20 @@ KEY_TABLE = {
 
 def _get(obj, step):
     return obj[step] if isinstance(obj, (dict, tuple)) else getattr(obj, step)
+
+
+# (key, reader, check) for each row `SimConfig.validate` checks, its path
+# compiled once: a path of attribute names reads in C, the rest step by step
+_CHECKED = [
+    (key, attrgetter(".".join(path)) if all(type(s) is str for s in path)
+     else partial(reduce, _get, path), check)
+    for key, (path, _, _, check) in KEY_TABLE.items() if check is not None
+]
+# (field, dataclass, first file key inside it) for each SimConfig sub-record
+_RECORDS = [
+    (f.name, f.default_factory, next(k for k, row in KEY_TABLE.items() if row[0][0] == f.name))
+    for f in fields(SimConfig) if is_dataclass(f.default_factory)
+]
 
 
 def _set_path(obj, path: tuple, value):

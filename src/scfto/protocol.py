@@ -200,8 +200,8 @@ def observe_forwarding(action: tuple, channel: ChannelState,
     channel a genuinely forwarded packet is lost once and retransmitted at
     half the overhearing window; the retransmission is missed with
     probability p_no and otherwise captured as delayed with probability
-    p_cd.  A dropped packet is a timeout at the full window.  A good
-    channel draws nothing, so there `rng` may be None.
+    p_cd.  A dropped packet is a timeout at the full window.  A dropped
+    packet and a good channel draw nothing, so there `rng` may be None.
     """
     fate, delay_s = action
     d_m = config.radio.d_m_s
@@ -325,8 +325,9 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                                  member.trust.value_of(head_id))
 
     # (5) data phase, member packets in slot order.  Only a malicious head
-    # draws for a packet's fate and only a bad channel draws for what a
-    # member overhears, so only they open a stream.
+    # draws for a packet's fate and only a packet the head did not drop,
+    # under a bad channel, draws for what a member overhears, so only they
+    # open a stream.
     for head_id, members in clusters.items():
         head = state.nodes[head_id]
         attack_rng = (state.streams.stream("attack", head_id, round_idx)
@@ -359,7 +360,8 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
             if not member.alive:
                 continue
             observe_rng = (state.streams.stream("observe", member_id, round_idx)
-                           if channel is ChannelState.BAD else None)
+                           if channel is ChannelState.BAD and fate is not Outcome.DROPPED
+                           else None)
             outcome, duration, overheard = observe_forwarding(action, channel,
                                                               observe_rng, config)
             state.debit(member, overhear_energy(radio, duration, data_bits, overheard))

@@ -10,6 +10,7 @@ costs far more than drawing from it, and an unopened stream draws nothing.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 _MASK64 = (1 << 64) - 1
 
@@ -21,15 +22,20 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+@lru_cache(maxsize=64)  # the program's stream tags, hashed once a process
+def _tag_to_int(tag: str) -> int:
+    # stable across processes, unlike hash()
+    acc = 0xCBF29CE484222325
+    for b in tag.encode("utf-8"):
+        acc = _splitmix64(acc ^ b)
+    return acc
+
+
 def _key_to_int(key) -> int:
     if isinstance(key, int):
         return key & _MASK64
     if isinstance(key, str):
-        # stable across processes, unlike hash()
-        acc = 0xCBF29CE484222325
-        for b in key.encode("utf-8"):
-            acc = _splitmix64(acc ^ b)
-        return acc
+        return _tag_to_int(key)
     raise TypeError(f"unsupported stream key type: {type(key)!r}")
 
 

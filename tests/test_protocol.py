@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scfto import protocol
-from scfto.config import JoinParams, SimConfig
+from scfto.config import AttackParams, JoinParams, SimConfig
 from scfto.network import NodeState, SimState, init_network
 from scfto.outlier import ConvergenceTracker
 from scfto.phy import ChannelState
@@ -598,6 +598,15 @@ def test_good_channel_opens_no_observe_stream():
         delivered = sum(run_round(state, r).packets_delivered for r in range(20))
         assert delivered > 0  # members did overhear forwarding
         assert (state.streams.opened["observe"] > 0) is observed
+
+
+def test_a_dropped_packet_opens_no_observe_stream():
+    # every node is a tier-3 attacker dropping every packet (3 * p_sf = 1),
+    # so under a bad channel no member has anything to overhear
+    state = counted_state(force_channel="bad", malicious_fraction=1.0,
+                          tier_mix=(0.0, 0.0, 1.0), attack=AttackParams(p_sf=1 / 3, p_df=0.0))
+    assert sum(run_round(state, r).drop_attacks for r in range(20)) > 0
+    assert state.streams.opened["observe"] == 0
 
 
 def test_only_malicious_heads_open_attack_streams():
