@@ -164,15 +164,16 @@ class FLCConfig:
     dfr_bypass: float = 0.2  # below this forwarding rate, trust is hard 0
 
     def validate(self) -> None:
-        umfs = {"dfd": {}, "dfr": {}}  # var -> label -> UMF, for the coverage check
         for var, sets in (("dfd", self.dfd_sets), ("dfr", self.dfr_sets)):
             _check_keys(sets, ("low", "medium", "high"), f"flc_{var}_{{}}_umf")
             for label in ("low", "medium", "high"):
                 _check_keys(sets[label], ("umf", "lmf"), f"flc_{var}_{label}_{{}}")
-                for kind in ("umf", "lmf"):
-                    if not _POINTS[0](pts := sets[label][kind]):
-                        raise ConfigError(f"flc_{var}_{label}_{kind}",
-                                          f"{_POINTS[1]}, got {_shown(pts)}")
+        _check_keys(self.trust_sets, TRUST_LABELS, "flc_trust_{}")
+        _check_rows(self, _FLC_CHECKED)
+        for var, sets, start in (("dfd", self.dfd_sets, 0.0),
+                                 ("dfr", self.dfr_sets, self.dfr_bypass)):
+            umfs = {}  # label -> UMF, for the coverage check
+            for label in ("low", "medium", "high"):
                 umf, lmf = (PiecewiseLinearMF(sets[label][kind]) for kind in ("umf", "lmf"))
                 # both are linear between neighbouring points of this set, so
                 # LMF <= UMF on [0,1] holds exactly when it holds on the set
@@ -182,24 +183,16 @@ class FLCConfig:
                     if lmf(x) > umf(x):
                         raise ConfigError(f"flc_{var}_{label}_lmf",
                                           f"lower membership exceeds upper at x={x!r}")
-                umfs[var][label] = umf
-        _check_keys(self.trust_sets, TRUST_LABELS, "flc_trust_{}")
-        for label in TRUST_LABELS:
-            if not _TRIANGLE[0](t := self.trust_sets[label]):
-                raise ConfigError(f"flc_trust_{label}", f"{_TRIANGLE[1]}, got {_shown(t)}")
-        if not _UNIT[0](self.dfr_bypass):
-            raise ConfigError("dfr_bypass", f"{_UNIT[1]}, got {_shown(self.dfr_bypass)}")
-        # some rule must fire wherever the engine infers: dfd in [0,1] and dfr
-        # in [dfr_bypass,1].  The UMFs are linear between their breakpoints,
-        # so checking those and both ends is exact; a breakpoint listed with
-        # a grade above 0 is covered by its own set.
-        for var, start in (("dfd", 0.0), ("dfr", self.dfr_bypass)):
-            sets = umfs[var]
-            covered = {x for umf in sets.values() for x, g in umf.points if g > 0.0}
-            for x in sorted({start, 1.0, *(x for umf in sets.values() for x, _ in umf.points
+                umfs[label] = umf
+            # some rule must fire wherever the engine infers: dfd in [0,1] and
+            # dfr in [dfr_bypass,1].  The UMFs are linear between their
+            # breakpoints, so checking those and both ends is exact; a
+            # breakpoint listed with a grade above 0 is covered by its own set.
+            covered = {x for umf in umfs.values() for x, g in umf.points if g > 0.0}
+            for x in sorted({start, 1.0, *(x for umf in umfs.values() for x, _ in umf.points
                                            if start < x < 1.0)} - covered):
-                if not any(umf(x) > 0.0 for umf in sets.values()):
-                    near = min(sets, key=lambda k: min(abs(bx - x) for bx, _ in sets[k].points))
+                if not any(umf(x) > 0.0 for umf in umfs.values()):
+                    near = min(umfs, key=lambda k: min(abs(bx - x) for bx, _ in umfs[k].points))
                     raise ConfigError(f"flc_{var}_{near}_umf",
                                       f"no upper membership is above 0 at x={x!r}")
 
@@ -239,15 +232,18 @@ class SimConfig:
                 raise ConfigError(key, f"{name} must be a {record.__name__}, got {_shown(value)}")
         if not (type(self.bs_position) is tuple and len(self.bs_position) == 2):
             raise ConfigError("bs_x", "bs_position must be a pair (bs_x, bs_y)")
-        for key, read, (test, message) in _CHECKED:
-            if not test(value := read(self)):
-                raise ConfigError(key, f"{message}, got {_shown(value)}")
+        _check_rows(self, _SIM_CHECKED)
         if 3 * self.attack.p_sf + 3 * self.attack.p_df > 1.0 + 1e-12:
             raise ConfigError("p_sf", "tier-3 action probabilities exceed 1: "
                                       "need 3*p_sf + 3*p_df <= 1")
         e = self.election
         if not e.p_ct < e.p_t < e.p_mt < e.p_dt:
             raise ConfigError("p_ct", "need p_ct < p_t < p_mt < p_dt")
+        # a rotation window is ceil(1/p_ch), and p_ch is p0_init or at least
+        # (1 - eta) * p_ct (`protocol.election_probability`)
+        for key, p_ch in (("p_0", e.p0_init), ("p_ct", (1.0 - e.eta) * e.p_ct)):
+            if not (p_ch > 0.0 and 1.0 / p_ch <= _MAX):
+                raise ConfigError(key, f"1/p_ch must be finite, got p_ch = {p_ch!r}")
         if flc:
             self.trust_flc.validate()
 
@@ -326,7 +322,6 @@ _RATIOS = (lambda t: type(t) is tuple and len(t) == 3
            and all(type(r) in _NUMBER and 0.0 <= r <= 1.0 for r in t)
            and abs(sum(t) - 1.0) <= 1e-9,
            "must be three ratios in [0,1] summing to 1 within 1e-9")
-# the controller's values, which FLCConfig.validate checks
 _POINTS = (lambda pts: type(pts) is tuple and len(pts) > 0
            and all(type(p) is tuple and len(p) == 2 and _FINITE[0](p[0]) and _UNIT[0](p[1])
                    for p in pts)
@@ -336,7 +331,6 @@ _TRIANGLE = (lambda t: type(t) is tuple and len(t) == 3 and all(map(_FINITE[0], 
              and t[0] <= t[1] <= t[2],
              "must be three finite numbers a <= c <= b")
 _CHANNELS = (lambda v: v in (None, "good", "bad"), "must be 'good', 'bad', or unset")
-_BY_FLC = None  # FLCConfig.validate checks the controller's keys together
 
 
 def _shown(value) -> str:
@@ -345,6 +339,13 @@ def _shown(value) -> str:
         return repr(value)
     except ValueError:
         return f"a {type(value).__name__} too long to write"
+
+
+def _check_rows(obj, rows: list) -> None:
+    """Refuse `obj` at the first row (key, reader, check) its value fails."""
+    for key, read, (test, message) in rows:
+        if not test(value := read(obj)):
+            raise ConfigError(key, f"{message}, got {_shown(value)}")
 
 
 def _check_keys(sets, labels: tuple, key: str) -> None:
@@ -395,12 +396,12 @@ KEY_TABLE = {
         ("core_fraction", "outlier.core_fraction", _FLOAT, _OPEN_UNIT),
         ("th_d", "outlier.th_d", _FLOAT, _POSITIVE),
         ("n_s", "outlier.n_s", _INT, _COUNT),
-        ("dfr_bypass", "trust_flc.dfr_bypass", _FLOAT, _BY_FLC),
+        ("dfr_bypass", "trust_flc.dfr_bypass", _FLOAT, _UNIT),
         *[(f"flc_{var}_{label}_{kind}", f"trust_flc.{var}_sets.{label}.{kind}",
-           _BREAKPOINTS, _BY_FLC)
+           _BREAKPOINTS, _POINTS)
           for var in ("dfd", "dfr") for label in ("low", "medium", "high")
           for kind in ("umf", "lmf")],
-        *[(f"flc_trust_{label}", f"trust_flc.trust_sets.{label}", _TUPLE3, _BY_FLC)
+        *[(f"flc_trust_{label}", f"trust_flc.trust_sets.{label}", _TUPLE3, _TRIANGLE)
           for label in TRUST_LABELS],
     ]
 }
@@ -410,13 +411,15 @@ def _get(obj, step):
     return obj[step] if isinstance(obj, (dict, tuple)) else getattr(obj, step)
 
 
-# (key, reader, check) for each row `SimConfig.validate` checks, its path
-# compiled once: a path of attribute names reads in C, the rest step by step
-_CHECKED = [
+# (key, reader, check) for each KEY_TABLE row, its path compiled once: the
+# controller's rows read from the controller through its dicts, the others
+# from the SimConfig, a path of attribute names in C
+_SIM_CHECKED = [
     (key, attrgetter(".".join(path)) if all(type(s) is str for s in path)
      else partial(reduce, _get, path), check)
-    for key, (path, _, _, check) in KEY_TABLE.items() if check is not None
-]
+    for key, (path, _, _, check) in KEY_TABLE.items() if path[0] != "trust_flc"]
+_FLC_CHECKED = [(key, partial(reduce, _get, path[1:]), check)
+                for key, (path, _, _, check) in KEY_TABLE.items() if path[0] == "trust_flc"]
 # (field, dataclass, first file key inside it) for each SimConfig sub-record
 _RECORDS = [
     (f.name, f.default_factory, next(k for k, row in KEY_TABLE.items() if row[0][0] == f.name))

@@ -21,7 +21,6 @@ them (see `FuzzyTrustEngine`); each engine keeps its own inference cache.
 """
 from __future__ import annotations
 
-import copy
 import marshal
 import math
 from bisect import bisect_right
@@ -124,19 +123,6 @@ RULE_TABLE = (
 )
 
 
-@dataclass
-class WeightedEndpointList:
-    """Sorted, weighted alpha-cut endpoints ready for type reduction.
-
-    `left` and `right` are lists of (endpoint, lower grade, upper grade),
-    each sorted ascending by endpoint; grades in each list are normalized so
-    the lower grades sum to 1 and the upper grades sum to 1.
-    """
-
-    left: list
-    right: list
-
-
 def consequent_entries(trust_set: T1TrustSet, g_lo: float, g_hi: float,
                        cut_lo: float) -> list:
     """Alpha-cut output interval(s) for one fired rule.
@@ -161,8 +147,11 @@ def consequent_entries(trust_set: T1TrustSet, g_lo: float, g_hi: float,
     return [(cut_l[0], cut_l[1], *half), (cut_h[0], cut_h[1], *half)]
 
 
-def build_endpoint_list(entries: list) -> WeightedEndpointList:
-    """Sort the cut endpoints and normalize the grades per list."""
+def build_endpoint_list(entries: list) -> tuple:
+    """Sorted, weighted alpha-cut endpoints ready for type reduction: the
+    pair (left, right) of lists of (endpoint, lower grade, upper grade),
+    each sorted ascending by endpoint, with the lower grades and the upper
+    grades of each list normalized to sum to 1."""
     lo_sum = sum(e[2] for e in entries)
     hi_sum = sum(e[3] for e in entries)
     if hi_sum <= 0.0:
@@ -174,7 +163,7 @@ def build_endpoint_list(entries: list) -> WeightedEndpointList:
         lo_sum = hi_sum
     left = sorted((tl, glo / lo_sum, ghi / hi_sum) for tl, _, glo, ghi in entries)
     right = sorted((tr, glo / lo_sum, ghi / hi_sum) for _, tr, glo, ghi in entries)
-    return WeightedEndpointList(left=left, right=right)
+    return left, right
 
 
 def eiasc(points: list, before: int, pick) -> float:
@@ -203,11 +192,12 @@ def eiasc(points: list, before: int, pick) -> float:
     return pick(quotients)
 
 
-def type_reduce(endpoints: WeightedEndpointList) -> tuple:
-    """Reduce the weighted endpoint lists to the trust interval [T_L, T_R]:
-    the minimizing left end puts upper grades before the switch point, the
-    maximizing right end lower grades."""
-    return eiasc(endpoints.left, 2, min), eiasc(endpoints.right, 1, max)
+def type_reduce(endpoints: tuple) -> tuple:
+    """Reduce the weighted endpoint lists (left, right) to the trust
+    interval [T_L, T_R]: the minimizing left end puts upper grades before
+    the switch point, the maximizing right end lower grades."""
+    left, right = endpoints
+    return eiasc(left, 2, min), eiasc(right, 1, max)
 
 
 class FuzzyTrustEngine:
@@ -236,12 +226,13 @@ class FuzzyTrustEngine:
         last, tables = FuzzyTrustEngine._last
         if image is None or image != last:
             flc.validate()
-            key = copy.deepcopy(flc)
+            # validated tuples and numbers, which no in-place edit of the
+            # controller's dicts reaches, so the tables share them
             dfd_sets, dfr_sets = (
                 {label: IT2Set(PiecewiseLinearMF(spec["umf"]), PiecewiseLinearMF(spec["lmf"]))
                  for label, spec in sets.items()}
-                for sets in (key.dfd_sets, key.dfr_sets))
-            trust_sets = {label: T1TrustSet(*key.trust_sets[label])
+                for sets in (flc.dfd_sets, flc.dfr_sets))
+            trust_sets = {label: T1TrustSet(*flc.trust_sets[label])
                           for label in TRUST_LABELS}
             tables = (dfd_sets, dfr_sets, trust_sets,
                       *label_slots([trust_sets[label] for label in TRUST_LABELS]))
@@ -251,7 +242,7 @@ class FuzzyTrustEngine:
          self._label_bounds, self._label_slots) = tables
         self._cache: dict = {}
 
-    def endpoint_list(self, dfd: float, dfr: float) -> WeightedEndpointList:
+    def endpoint_list(self, dfd: float, dfr: float) -> tuple:
         """Weighted cut endpoints of the nine rules at one evidence pair.
 
         The lower entry of each symmetric consequent is cut at

@@ -102,8 +102,7 @@ def record_event(table: TrustTable, observed: int, outcome: Outcome) -> None:
     ent.counters = counters
 
 
-def update_direct_trust(table: TrustTable, engine: FuzzyTrustEngine,
-                        head: int) -> float | None:
+def update_direct_trust(table: TrustTable, engine: FuzzyTrustEngine, head: int) -> None:
     """Re-infer the head's trust from the accumulated evidence.  With no
     observation yet (the head died before forwarding, which is not malice)
     the entry exists but keeps its value, Unknown or not."""
@@ -111,7 +110,6 @@ def update_direct_trust(table: TrustTable, engine: FuzzyTrustEngine,
     if ent.counters.total_forwarding > 0:
         dfr, dfd = evidence(ent.counters)
         ent.value = engine.evaluate(dfd, dfr)
-    return ent.value
 
 
 def merge_recommendation(table: TrustTable, recommendations: list,

@@ -9,7 +9,7 @@ import math
 from hypothesis import strategies as st
 
 from scfto.config import TRUST_LABELS, ElectionParams
-from scfto.fuzzy import NoEvidenceError, WeightedEndpointList
+from scfto.fuzzy import NoEvidenceError
 from scfto.network import NodeState, SimState
 
 
@@ -20,8 +20,11 @@ def energy_ledger_error(state: SimState) -> float:
     return abs(initial - (state.total_debited_j + remaining)) / initial
 
 
-def reference_type_reduce(endpoints: WeightedEndpointList) -> tuple:
-    """Exhaustive switch-point search; the independent oracle for EIASC."""
+def reference_type_reduce(endpoints: tuple) -> tuple:
+    """Exhaustive switch-point search over the endpoint lists (left, right);
+    the independent oracle for EIASC."""
+    left, right = endpoints
+
     def quotients(points, prefix_idx, suffix_idx):
         n = len(points)
         values = []
@@ -37,8 +40,7 @@ def reference_type_reduce(endpoints: WeightedEndpointList) -> tuple:
         return values
 
     # left end: upper grades before the switch; right end: lower grades first
-    return (min(quotients(endpoints.left, 2, 1)),
-            max(quotients(endpoints.right, 1, 2)))
+    return min(quotients(left, 2, 1)), max(quotients(right, 1, 2))
 
 
 def reference_choose_head(node: NodeState, heads: list, positions: list, state: SimState):

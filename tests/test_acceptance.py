@@ -14,7 +14,7 @@ import time
 import pytest
 
 from scfto.config import SimConfig
-from scfto.fuzzy import FuzzyTrustEngine, WeightedEndpointList, type_reduce
+from scfto.fuzzy import FuzzyTrustEngine, type_reduce
 from scfto.metrics import MetricsAccumulator, run_to_files, simulate
 from scfto.network import NodeState, init_network
 from scfto.outlier import detect_threshold
@@ -33,7 +33,7 @@ def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} failed: {name}{suffix}"
 
 
-def random_endpoint_list(rng: random.Random) -> WeightedEndpointList:
+def random_endpoint_list(rng: random.Random) -> tuple:
     n = rng.randint(9, 16)
 
     def side():
@@ -46,7 +46,7 @@ def random_endpoint_list(rng: random.Random) -> WeightedEndpointList:
         lo_sum, hi_sum = sum(lo), sum(hi)
         return [(x, a / lo_sum, b / hi_sum) for x, a, b in zip(xs, lo, hi)]
 
-    return WeightedEndpointList(left=side(), right=side())
+    return side(), side()
 
 
 def test_criterion_01_type_reduction_oracle():

@@ -1,6 +1,7 @@
 """Configuration records, validation, and the flat key-value file format."""
 import math
 import re
+import sys
 from collections import OrderedDict
 from dataclasses import replace
 from decimal import Decimal
@@ -24,13 +25,15 @@ from scfto.config import (
     PiecewiseLinearMF,
     RadioParams,
     SimConfig,
-    _CHECKED,
+    _FLC_CHECKED,
+    _SIM_CHECKED,
     _get,
     _set_path,
     dump_config,
     parse_config_text,
 )
 from scfto.network import apportion_tiers, init_network
+from scfto.protocol import run_round
 
 
 def test_defaults_validate():
@@ -190,7 +193,12 @@ def sim_configs(draw):
     mix_b = draw(st.floats(min_value=0.0, max_value=1.0 - mix_a))
     p_sf = draw(st.floats(min_value=0.0, max_value=1 / 3))
     open_unit = unit(exclude_min=True, exclude_max=True)
+    p_0 = draw(open_unit)
     p_ct, p_t, p_mt, p_dt = draw(increasing(4, open_unit))
+    eta = draw(unit(exclude_max=True))
+    # only rates whose rotation window 1/p_ch is finite run
+    assume(1.0 / p_0 <= sys.float_info.max)
+    assume((1.0 - eta) * p_ct > 0.0 and 1.0 / ((1.0 - eta) * p_ct) <= sys.float_info.max)
 
     def breakpoints(grades):
         xs = draw(increasing(draw(st.integers(1, 4)), unit()))
@@ -219,8 +227,7 @@ def sim_configs(draw):
         channel=ChannelParams(draw(positive()), draw(positive())),
         effects=ChannelEffects(draw(unit()), draw(unit())),
         attack=AttackParams(p_sf, draw(st.floats(min_value=0.0, max_value=1 / 3 - p_sf))),
-        election=ElectionParams(draw(open_unit), p_ct, p_t, p_mt, p_dt,
-                                draw(unit(exclude_max=True)), draw(counts())),
+        election=ElectionParams(p_0, p_ct, p_t, p_mt, p_dt, eta, draw(counts())),
         join=JoinParams(draw(counts())),
         outlier=OutlierParams(draw(positive()), draw(open_unit), draw(positive()),
                               draw(counts())),
@@ -242,6 +249,16 @@ def test_dump_parse_round_trip_every_key(cfg):
     keys = [line.split(" = ", 1)[0] for line in text.splitlines()]
     assert keys == list(KEY_TABLE)  # every key once, in table order
     assert parse_config_text(text) == cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(sim_configs(), st.integers(1, 25), st.integers(1, 30))
+def test_every_config_validate_accepts_runs(source, node_count, rounds):
+    cfg = replace(source, node_count=node_count, rounds=rounds)
+    cfg.validate()
+    state = init_network(cfg)
+    for r in range(rounds):
+        run_round(state, r)
 
 
 def test_round_trip_strategy_moves_every_key():
@@ -369,6 +386,11 @@ def test_every_key_refuses_non_finite_values(key):
     (SimConfig(radio=None), "e_elec"),
     (SimConfig(trust_flc=None), "dfr_bypass"),
     (SimConfig(join={"n_nch": 2}), "n_nch"),
+    # a rate whose rotation window 1/p_ch is not finite: once a node had
+    # led, the window overflowed (p_0) or divided by zero (p_ct, since
+    # (1 - eta) * p_ct rounds to 0)
+    (SimConfig(election=ElectionParams(p0_init=5e-324)), "p_0"),
+    (SimConfig(election=ElectionParams(p_ct=5e-324, eta=0.5)), "p_ct"),
 ])
 def test_python_built_configs_are_checked_by_file_key(cfg, key):
     assert_refused(cfg, key)
@@ -402,11 +424,11 @@ def test_each_compiled_reader_reads_its_keys_path(source):
     built = SimConfig()
     for key, (path, _, _, _) in KEY_TABLE.items():
         built = _set_path(built, path, reduce(_get, path, source))
-    assert [key for key, _, _ in _CHECKED] == [
-        key for key, row in KEY_TABLE.items() if row[3] is not None]
+    assert sorted(key for key, _, _ in _SIM_CHECKED + _FLC_CHECKED) == sorted(KEY_TABLE)
     for cfg in (SimConfig(), built):
-        for key, read, _ in _CHECKED:
-            assert read(cfg) is reduce(_get, KEY_TABLE[key][0], cfg), key
+        for rows, root in ((_SIM_CHECKED, cfg), (_FLC_CHECKED, cfg.trust_flc)):
+            for key, read, _ in rows:
+                assert read(root) is reduce(_get, KEY_TABLE[key][0], cfg), key
 
 
 def test_controller_refuses_non_finite_breakpoints_and_triangles():

@@ -15,7 +15,6 @@ from scfto.fuzzy import (
     NoEvidenceError,
     RULE_TABLE,
     T1TrustSet,
-    WeightedEndpointList,
     build_endpoint_list,
     consequent_entries,
     type_reduce,
@@ -181,14 +180,13 @@ def test_endpoint_count_stays_in_paper_range(engine):
             dfr = j / 20
             if dfr < 0.2:
                 continue
-            ep = engine.endpoint_list(i / 20, dfr)
-            assert 9 <= len(ep.left) <= 16
-            assert len(ep.left) == len(ep.right)
+            left, right = engine.endpoint_list(i / 20, dfr)
+            assert 9 <= len(left) <= 16
+            assert len(left) == len(right)
 
 
 def test_normalized_grades_sum_to_one(engine):
-    ep = engine.endpoint_list(0.3, 0.6)
-    for points in (ep.left, ep.right):
+    for points in engine.endpoint_list(0.3, 0.6):
         assert sum(p[1] for p in points) == pytest.approx(1.0, abs=1e-12)
         assert sum(p[2] for p in points) == pytest.approx(1.0, abs=1e-12)
 
@@ -204,24 +202,21 @@ def test_two_point_reduction_by_hand():
     # raw grades; only one switch point exists for l = 2
     points_l = [(0.2, 0.2, 0.9), (0.8, 0.4, 0.6)]
     points_r = [(0.2, 0.2, 0.9), (0.8, 0.4, 0.6)]
-    ep = WeightedEndpointList(left=points_l, right=points_r)
-    t_l, t_r = type_reduce(ep)
+    t_l, t_r = type_reduce((points_l, points_r))
     assert t_l == pytest.approx((0.9 * 0.2 + 0.4 * 0.8) / (0.9 + 0.4), abs=1e-12)
     assert t_r == pytest.approx((0.2 * 0.2 + 0.6 * 0.8) / (0.2 + 0.6), abs=1e-12)
 
 
 def test_equal_endpoints_reduce_to_that_value():
     pts = [(0.4, 0.1, 0.3)] * 5
-    ep = WeightedEndpointList(left=list(pts), right=list(pts))
-    t_l, t_r = type_reduce(ep)
+    t_l, t_r = type_reduce((list(pts), list(pts)))
     assert t_l == pytest.approx(0.4)
     assert t_r == pytest.approx(0.4)
 
 
 def test_single_weighted_entry_dominates():
     pts = sorted([(0.7, 0.5, 0.5), (0.1, 0.0, 0.0), (0.9, 0.0, 0.0)])
-    ep = WeightedEndpointList(left=pts, right=pts)
-    t_l, t_r = type_reduce(ep)
+    t_l, t_r = type_reduce((pts, pts))
     assert t_l == pytest.approx(0.7)
     assert t_r == pytest.approx(0.7)
 
@@ -232,9 +227,8 @@ def test_reduction_matches_exhaustive_search_on_random_lists():
         l = rng.randint(9, 16)
         left = sorted((rng.random(), rng.random(), rng.random()) for _ in range(l))
         right = sorted((rng.random(), rng.random(), rng.random()) for _ in range(l))
-        ep = WeightedEndpointList(left=left, right=right)
-        fast = type_reduce(ep)
-        slow = reference_type_reduce(ep)
+        fast = type_reduce((left, right))
+        slow = reference_type_reduce((left, right))
         assert fast[0] == pytest.approx(slow[0], abs=1e-9)
         assert fast[1] == pytest.approx(slow[1], abs=1e-9)
 

@@ -286,6 +286,7 @@ def test_cli_run_config_not_utf8_is_error_code_2_and_writes_nothing(tmp_path, ca
     ("bs_x = nan", "bs_x"),
     ("eta = 1.0", "eta"),
     ("p_0 = 2", "p_0"),
+    ("p_0 = 5e-324", "p_0"),
 ])
 def test_cli_bad_value_names_its_key_and_writes_nothing(tmp_path, capsys, line, key):
     cfg_file = tmp_path / "bad.cfg"

@@ -146,9 +146,8 @@ def test_update_direct_trust_perfect_forwarder():
     engine = FuzzyTrustEngine()
     for _ in range(10):
         record_event(t, 2, Outcome.FORWARDED)
-    v = update_direct_trust(t, engine, head=2)
-    assert v == 1.0
-    assert t.entry(2).value == 1.0
+    update_direct_trust(t, engine, head=2)
+    assert t.value_of(2) == 1.0
 
 
 def test_update_direct_trust_dropper_is_zero():
@@ -156,17 +155,20 @@ def test_update_direct_trust_dropper_is_zero():
     engine = FuzzyTrustEngine()
     for _ in range(10):
         record_event(t, 2, Outcome.DROPPED)
-    assert update_direct_trust(t, engine, head=2) == 0.0
+    update_direct_trust(t, engine, head=2)
+    assert t.value_of(2) == 0.0
 
 
 def test_update_direct_trust_without_observation_keeps_the_value():
     # a head that died before forwarding leaves an entry, Unknown or not
     t = TrustTable(owner=0)
     engine = FuzzyTrustEngine()
-    assert update_direct_trust(t, engine, head=2) is None
+    update_direct_trust(t, engine, head=2)
+    assert t.value_of(2) is None
     assert 2 in t.entries and t.entry(2).counters is NO_EVIDENCE
     t.entry(3).value = 0.4  # e.g. set by a recommendation merge
-    assert update_direct_trust(t, engine, head=3) == 0.4
+    update_direct_trust(t, engine, head=3)
+    assert t.value_of(3) == 0.4
 
 
 # --------------------------------------------------------------- merging
