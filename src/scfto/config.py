@@ -97,6 +97,7 @@ TRUST_LABELS = (
     "trust",
     "complete_trust",
 )
+ANTECEDENT_LABELS = ("low", "medium", "high")
 
 
 @dataclass(frozen=True)
@@ -123,58 +124,46 @@ class PiecewiseLinearMF:
         return pts[-1][1]
 
 
-def _default_antecedents() -> dict:
-    # breakpoints as (x, grade) pairs; DFD and DFR have the same default
-    # sets, but each config gets its own dicts to edit
-    return {
-        "low": {
-            "umf": ((0.0, 1.0), (0.2, 1.0), (0.5, 0.0)),
-            "lmf": ((0.0, 1.0), (0.1, 1.0), (0.4, 0.0)),
-        },
-        "medium": {
-            "umf": ((0.2, 0.0), (0.5, 1.0), (0.8, 0.0)),
-            "lmf": ((0.3, 0.0), (0.5, 1.0), (0.7, 0.0)),
-        },
-        "high": {
-            "umf": ((0.5, 0.0), (0.8, 1.0), (1.0, 1.0)),
-            "lmf": ((0.6, 0.0), (0.9, 1.0), (1.0, 1.0)),
-        },
-    }
-
-
-def _default_trust_triangles() -> dict:
-    # peaks at k/6 with half-width 1/6, clipped to [0,1]; the end sets
-    # become shoulders
-    sets = {}
-    for k, label in enumerate(TRUST_LABELS):
-        c = k / 6.0
-        a = max(0.0, c - 1.0 / 6.0)
-        b = min(1.0, c + 1.0 / 6.0)
-        sets[label] = (a, c, b)
-    return sets
+# peaks at k/6 with half-width 1/6, clipped to [0,1]; the end sets become
+# shoulders
+_TRIANGLES = [(max(0.0, c - 1.0 / 6.0), c, min(1.0, c + 1.0 / 6.0))
+              for c in (k / 6.0 for k in range(len(TRUST_LABELS)))]
 
 
 @dataclass(frozen=True)
 class FLCConfig:
-    """Membership-function coordinates for the trust inference controller."""
+    """Membership-function coordinates for the trust inference controller,
+    one field a file key: `flc_<name>` sets field `<name>`.  Antecedent MFs
+    are (x, grade) breakpoints, the same for DFD and DFR by default."""
 
-    dfd_sets: dict = field(default_factory=_default_antecedents)
-    dfr_sets: dict = field(default_factory=_default_antecedents)
-    trust_sets: dict = field(default_factory=_default_trust_triangles)
+    dfd_low_umf: tuple = ((0.0, 1.0), (0.2, 1.0), (0.5, 0.0))
+    dfd_low_lmf: tuple = ((0.0, 1.0), (0.1, 1.0), (0.4, 0.0))
+    dfd_medium_umf: tuple = ((0.2, 0.0), (0.5, 1.0), (0.8, 0.0))
+    dfd_medium_lmf: tuple = ((0.3, 0.0), (0.5, 1.0), (0.7, 0.0))
+    dfd_high_umf: tuple = ((0.5, 0.0), (0.8, 1.0), (1.0, 1.0))
+    dfd_high_lmf: tuple = ((0.6, 0.0), (0.9, 1.0), (1.0, 1.0))
+    dfr_low_umf: tuple = ((0.0, 1.0), (0.2, 1.0), (0.5, 0.0))
+    dfr_low_lmf: tuple = ((0.0, 1.0), (0.1, 1.0), (0.4, 0.0))
+    dfr_medium_umf: tuple = ((0.2, 0.0), (0.5, 1.0), (0.8, 0.0))
+    dfr_medium_lmf: tuple = ((0.3, 0.0), (0.5, 1.0), (0.7, 0.0))
+    dfr_high_umf: tuple = ((0.5, 0.0), (0.8, 1.0), (1.0, 1.0))
+    dfr_high_lmf: tuple = ((0.6, 0.0), (0.9, 1.0), (1.0, 1.0))
+    trust_complete_distrust: tuple = _TRIANGLES[0]
+    trust_intense_distrust: tuple = _TRIANGLES[1]
+    trust_distrust: tuple = _TRIANGLES[2]
+    trust_medium_distrust: tuple = _TRIANGLES[3]
+    trust_medium_trust: tuple = _TRIANGLES[4]
+    trust_trust: tuple = _TRIANGLES[5]
+    trust_complete_trust: tuple = _TRIANGLES[6]
     dfr_bypass: float = 0.2  # below this forwarding rate, trust is hard 0
 
     def validate(self) -> None:
-        for var, sets in (("dfd", self.dfd_sets), ("dfr", self.dfr_sets)):
-            _check_keys(sets, ("low", "medium", "high"), f"flc_{var}_{{}}_umf")
-            for label in ("low", "medium", "high"):
-                _check_keys(sets[label], ("umf", "lmf"), f"flc_{var}_{label}_{{}}")
-        _check_keys(self.trust_sets, TRUST_LABELS, "flc_trust_{}")
         _check_rows(self, _FLC_CHECKED)
-        for var, sets, start in (("dfd", self.dfd_sets, 0.0),
-                                 ("dfr", self.dfr_sets, self.dfr_bypass)):
+        for var, start in (("dfd", 0.0), ("dfr", self.dfr_bypass)):
             umfs = {}  # label -> UMF, for the coverage check
-            for label in ("low", "medium", "high"):
-                umf, lmf = (PiecewiseLinearMF(sets[label][kind]) for kind in ("umf", "lmf"))
+            for label in ANTECEDENT_LABELS:
+                umf, lmf = (PiecewiseLinearMF(getattr(self, f"{var}_{label}_{kind}"))
+                            for kind in ("umf", "lmf"))
                 # both are linear between neighbouring points of this set, so
                 # LMF <= UMF on [0,1] holds exactly when it holds on the set
                 checkpoints = {0.0, 1.0, *(x for x, _ in umf.points + lmf.points
@@ -225,8 +214,8 @@ class SimConfig:
         """Check that each sub-record is its dataclass, then every key
         against its `KEY_TABLE` row, then the rules that tie keys together.
         `flc=False` leaves the controller's keys to `FuzzyTrustEngine`,
-        which checks a controller unless it equals the last one an engine
-        was built from."""
+        which checks a controller unless it is the one the last engine was
+        built from."""
         for name, record, key in _RECORDS:
             if type(value := getattr(self, name)) is not record:
                 raise ConfigError(key, f"{name} must be a {record.__name__}, got {_shown(value)}")
@@ -263,7 +252,9 @@ class SimConfig:
 
 def read_key_values(text: str):
     """Yield (key, value) from `key = value` lines: `#` starts a comment,
-    blank lines are skipped and keys are lower-cased."""
+    blank lines are skipped and keys are lower-cased.  A key given twice is
+    refused, since one of its lines would be ignored."""
+    seen = {}  # key -> the line it is on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -271,7 +262,12 @@ def read_key_values(text: str):
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        yield key.strip().lower(), value.strip()
+        key = key.strip().lower()
+        if key in seen:
+            raise ConfigError(key, f"given on lines {seen[key]} and {lineno}; "
+                                   "a key may appear only once")
+        seen[key] = lineno
+        yield key, value.strip()
 
 
 def _parse_tuple3(s: str) -> tuple:
@@ -348,22 +344,13 @@ def _check_rows(obj, rows: list) -> None:
             raise ConfigError(key, f"{message}, got {_shown(value)}")
 
 
-def _check_keys(sets, labels: tuple, key: str) -> None:
-    """Refuse `sets` unless it is a dict with exactly the keys `labels`; the
-    error names `key` filled in with the first label missing, or the first."""
-    if type(sets) is not dict or sets.keys() != set(labels):
-        missing = [k for k in labels if type(sets) is not dict or k not in sets]
-        raise ConfigError(key.format((missing or labels)[0]),
-                          f"must be a dict with exactly the keys {labels}, got {_shown(sets)}")
-
-
 def _keys(prefix: str, kind: tuple, check, *names: str) -> list:
     # keys named like their field
     return [(name, prefix + name, kind, check) for name in names]
 
 
 # file key -> (path into SimConfig, parser, renderer, check), in manifest
-# order.  A path step is an attribute name, a dict key or a tuple index.
+# order.  A path step is an attribute name or a tuple index.
 # `SimConfig.validate` applies each row's check.
 KEY_TABLE = {
     key: (tuple(int(s) if s.isdigit() else s for s in path.split(".")), *kind, check)
@@ -397,28 +384,27 @@ KEY_TABLE = {
         ("th_d", "outlier.th_d", _FLOAT, _POSITIVE),
         ("n_s", "outlier.n_s", _INT, _COUNT),
         ("dfr_bypass", "trust_flc.dfr_bypass", _FLOAT, _UNIT),
-        *[(f"flc_{var}_{label}_{kind}", f"trust_flc.{var}_sets.{label}.{kind}",
+        *[(f"flc_{var}_{label}_{kind}", f"trust_flc.{var}_{label}_{kind}",
            _BREAKPOINTS, _POINTS)
-          for var in ("dfd", "dfr") for label in ("low", "medium", "high")
-          for kind in ("umf", "lmf")],
-        *[(f"flc_trust_{label}", f"trust_flc.trust_sets.{label}", _TUPLE3, _TRIANGLE)
+          for var in ("dfd", "dfr") for label in ANTECEDENT_LABELS for kind in ("umf", "lmf")],
+        *[(f"flc_trust_{label}", f"trust_flc.trust_{label}", _TUPLE3, _TRIANGLE)
           for label in TRUST_LABELS],
     ]
 }
 
 
 def _get(obj, step):
-    return obj[step] if isinstance(obj, (dict, tuple)) else getattr(obj, step)
+    return obj[step] if isinstance(obj, tuple) else getattr(obj, step)
 
 
 # (key, reader, check) for each KEY_TABLE row, its path compiled once: the
-# controller's rows read from the controller through its dicts, the others
-# from the SimConfig, a path of attribute names in C
+# controller's rows read from the controller, the others from the
+# SimConfig, a path of attribute names in C
 _SIM_CHECKED = [
     (key, attrgetter(".".join(path)) if all(type(s) is str for s in path)
      else partial(reduce, _get, path), check)
     for key, (path, _, _, check) in KEY_TABLE.items() if path[0] != "trust_flc"]
-_FLC_CHECKED = [(key, partial(reduce, _get, path[1:]), check)
+_FLC_CHECKED = [(key, attrgetter(path[1]), check)
                 for key, (path, _, _, check) in KEY_TABLE.items() if path[0] == "trust_flc"]
 # (field, dataclass, first file key inside it) for each SimConfig sub-record
 _RECORDS = [
@@ -432,8 +418,6 @@ def _set_path(obj, path: tuple, value):
     step = path[0]
     if len(path) > 1:
         value = _set_path(_get(obj, step), path[1:], value)
-    if isinstance(obj, dict):
-        return {**obj, step: value}
     if isinstance(obj, tuple):
         return obj[:step] + (value,) + obj[step + 1:]
     return replace(obj, **{step: value})

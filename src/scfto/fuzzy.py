@@ -16,17 +16,16 @@ either the label at a corner or the few membership lines active between
 two corners, compared exactly as the membership function computes them.
 
 Those slots, the antecedent sets and the consequent triangles depend only
-on the controller's value, so engines built from equal controllers share
-them (see `FuzzyTrustEngine`); each engine keeps its own inference cache.
+on the controller, so engines built from one controller share them (see
+`FuzzyTrustEngine`); each engine keeps its own inference cache.
 """
 from __future__ import annotations
 
-import marshal
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .config import FLCConfig, PiecewiseLinearMF, TRUST_LABELS
+from .config import ANTECEDENT_LABELS, FLCConfig, PiecewiseLinearMF, TRUST_LABELS
 
 _FULL_FIRING = 1.0 - 1e-12
 
@@ -204,39 +203,31 @@ class FuzzyTrustEngine:
     """Trust inference pipeline built from one FLC configuration.
 
     The antecedent sets, consequent triangles and label slots are shared by
-    every engine built from an equal controller, and nothing edits them; the
+    every engine built from one controller, and nothing edits them; the
     inference cache `_cache` is each engine's own.  The class keeps the
-    tables of the last controller built, keyed on its marshal image (a
-    controller's dicts can be edited in place), so a run of equal
-    controllers, such as the configs of one sweep, checks and builds them
-    once.  The image tells a bool from the 0 or 1 it equals, so a
-    controller holding one is checked, and refused, like any other.  Any
-    other controller is checked before its tables are built, so a refused
-    one is never kept."""
+    tables of the last controller built, so a run of engines from one
+    controller, such as the configs of one sweep, checks and builds them
+    once; a controller is frozen, so its tables cannot go stale.  Any other
+    controller, even an equal one, is checked before its tables are built,
+    so a refused one is never kept."""
 
-    _last: tuple = (None, None)  # (image of the last controller built, its tables)
+    _last: tuple = (None, None)  # (the last controller built, its tables)
 
     def __init__(self, flc: FLCConfig | None = None):
         flc = flc if flc is not None else FLCConfig()
-        try:
-            image = marshal.dumps((flc.dfd_sets, flc.dfr_sets, flc.trust_sets,
-                                   flc.dfr_bypass), 2)  # version 2 writes no shared refs
-        except ValueError:  # a value marshal cannot write, which validate refuses
-            image = None
         last, tables = FuzzyTrustEngine._last
-        if image is None or image != last:
+        if flc is not last:
             flc.validate()
-            # validated tuples and numbers, which no in-place edit of the
-            # controller's dicts reaches, so the tables share them
             dfd_sets, dfr_sets = (
-                {label: IT2Set(PiecewiseLinearMF(spec["umf"]), PiecewiseLinearMF(spec["lmf"]))
-                 for label, spec in sets.items()}
-                for sets in (flc.dfd_sets, flc.dfr_sets))
-            trust_sets = {label: T1TrustSet(*flc.trust_sets[label])
+                {label: IT2Set(*(PiecewiseLinearMF(getattr(flc, f"{var}_{label}_{kind}"))
+                                 for kind in ("umf", "lmf")))
+                 for label in ANTECEDENT_LABELS}
+                for var in ("dfd", "dfr"))
+            trust_sets = {label: T1TrustSet(*getattr(flc, f"trust_{label}"))
                           for label in TRUST_LABELS}
             tables = (dfd_sets, dfr_sets, trust_sets,
                       *label_slots([trust_sets[label] for label in TRUST_LABELS]))
-            FuzzyTrustEngine._last = image, tables
+            FuzzyTrustEngine._last = flc, tables
         self.flc = flc
         (self.dfd_sets, self.dfr_sets, self.trust_sets,
          self._label_bounds, self._label_slots) = tables

@@ -12,8 +12,8 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .config import (ConfigError, SimConfig, dump_config, load_config, parse_config_text,
-                     read_config_file, read_key_values)
+from .config import (KEY_TABLE, ConfigError, SimConfig, dump_config, load_config,
+                     parse_config_text, read_config_file, read_key_values)
 from .network import init_network
 from .protocol import RoundReport, run_round
 
@@ -200,6 +200,9 @@ class ScenarioSpec:
             raise ConfigError("seeds", "seed list must be nonempty")
         if bool(self.sweep_values) != (self.sweep_key is not None):
             raise ConfigError("sweep_key", "sweep_key and sweep_values go together")
+        if self.sweep_key is not None and self.sweep_key.lower() not in KEY_TABLE:
+            # `code_version` too: a sweep of it would label runs it did not change
+            raise ConfigError("sweep_key", f"{self.sweep_key!r} is not a configuration key")
         if self.sweep_key is not None and self.sweep_key.lower() == "seed":
             # a swept seed would overwrite each run's seed from `seeds`
             raise ConfigError("sweep_key", "seed cannot be swept; the seeds key sets the seeds")

@@ -2,7 +2,6 @@
 import math
 import re
 import sys
-from collections import OrderedDict
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from scfto.config import (
+    ANTECEDENT_LABELS,
     KEY_TABLE,
     TRUST_LABELS,
     AttackParams,
@@ -129,22 +129,19 @@ def test_parse_membership_override():
     cfg = parse_config_text(
         "flc_dfr_low_umf = 0:1, 0.25:1, 0.6:0\n"
         "flc_trust_medium_trust = 0.4,0.6,0.8\n")
-    assert cfg.trust_flc.dfr_sets["low"]["umf"] == ((0.0, 1.0), (0.25, 1.0), (0.6, 0.0))
-    assert cfg.trust_flc.trust_sets["medium_trust"] == (0.4, 0.6, 0.8)
+    assert cfg.trust_flc.dfr_low_umf == ((0.0, 1.0), (0.25, 1.0), (0.6, 0.0))
+    assert cfg.trust_flc.trust_medium_trust == (0.4, 0.6, 0.8)
     # untouched sets keep their defaults
-    assert cfg.trust_flc.dfd_sets["low"]["umf"] == ((0.0, 1.0), (0.2, 1.0), (0.5, 0.0))
+    assert cfg.trust_flc.dfd_low_umf == ((0.0, 1.0), (0.2, 1.0), (0.5, 0.0))
 
 
 def test_lower_membership_above_upper_is_a_config_error():
-    medium = {"umf": ((0.2, 0.0), (0.5, 1.0), (0.8, 0.0))}
     # equal functions are a valid (degenerate) footprint
-    FLCConfig(dfr_sets={**FLCConfig().dfr_sets,
-                        "medium": {**medium, "lmf": medium["umf"]}}).validate()
+    FLCConfig(dfr_medium_lmf=FLCConfig().dfr_medium_umf).validate()
     # a spike that falls between the points of a 0.001 grid
     spike = ((0.0004, 0.0), (0.0005, 0.5), (0.0006, 0.0))
     with pytest.raises(ConfigError) as err:
-        FLCConfig(dfr_sets={**FLCConfig().dfr_sets,
-                            "medium": {**medium, "lmf": spike}}).validate()
+        FLCConfig(dfr_medium_lmf=spike).validate()
     assert err.value.field == "flc_dfr_medium_lmf"
     with pytest.raises(ConfigError) as err:
         parse_config_text("flc_dfd_low_umf = 0.5:0.0\n")
@@ -161,8 +158,7 @@ def test_membership_at_a_breakpoint_is_its_grade():
     # footprint is valid; interpolated to the end of its first segment,
     # this upper MF would read 0.009999999999999995 at 0.63
     upper = ((0.0, 0.1), (0.63, 0.01), (1.0, 0.84))
-    FLCConfig(dfr_sets={**FLCConfig().dfr_sets,
-                        "medium": {"umf": upper, "lmf": points}}).validate()
+    FLCConfig(dfr_medium_umf=upper, dfr_medium_lmf=points).validate()
 
 
 def test_dump_config_round_trips():
@@ -204,17 +200,18 @@ def sim_configs(draw):
         xs = draw(increasing(draw(st.integers(1, 4)), unit()))
         return tuple((x, draw(grades)) for x in xs)
 
-    def antecedents():
+    def antecedents(var):
         # a scaled-down copy of the upper MF lies at or below it at every
         # breakpoint, which is where validation compares the two; one UMF
         # with every grade above 0 covers [0,1], as validation requires
-        sets = {}
-        covering = draw(st.sampled_from(("low", "medium", "high")))
-        for label in ("low", "medium", "high"):
+        fields = {}
+        covering = draw(st.sampled_from(ANTECEDENT_LABELS))
+        for label in ANTECEDENT_LABELS:
             umf = breakpoints(unit(exclude_min=label == covering))
             scale = draw(unit())
-            sets[label] = {"umf": umf, "lmf": tuple((x, g * scale) for x, g in umf)}
-        return sets
+            fields[f"{var}_{label}_umf"] = umf
+            fields[f"{var}_{label}_lmf"] = tuple((x, g * scale) for x, g in umf)
+        return fields
 
     return SimConfig(
         field_width_m=draw(positive()), field_height_m=draw(positive()),
@@ -232,9 +229,9 @@ def sim_configs(draw):
         outlier=OutlierParams(draw(positive()), draw(open_unit), draw(positive()),
                               draw(counts())),
         trust_flc=FLCConfig(
-            dfd_sets=antecedents(), dfr_sets=antecedents(),
-            trust_sets={label: tuple(draw(st.lists(unit(), min_size=3, max_size=3).map(sorted)))
-                        for label in TRUST_LABELS},
+            **antecedents("dfd"), **antecedents("dfr"),
+            **{f"trust_{label}": tuple(draw(st.lists(unit(), min_size=3, max_size=3).map(sorted)))
+               for label in TRUST_LABELS},
             dfr_bypass=draw(unit())),
         rounds=draw(counts()), cycle_len_rounds=draw(counts()),
         seed=draw(st.integers(min_value=0, max_value=2**63)),
@@ -346,7 +343,7 @@ def test_every_key_refuses_non_finite_values(key):
     (SimConfig(bs_position=(True, 50.0)), "bs_x"),
     (SimConfig(trust_flc=FLCConfig(dfr_bypass=False)), "dfr_bypass"),
     (_set_path(SimConfig(), KEY_TABLE["flc_trust_complete_trust"][0],
-               (*FLCConfig().trust_sets["complete_trust"][:2], True)), "flc_trust_complete_trust"),
+               (*FLCConfig().trust_complete_trust[:2], True)), "flc_trust_complete_trust"),
     (_set_path(SimConfig(), KEY_TABLE["flc_dfd_low_umf"][0],
                ((False, 1.0), (0.2, 1.0), (0.5, 0.0))), "flc_dfd_low_umf"),
     (_set_path(SimConfig(), KEY_TABLE["flc_dfr_high_lmf"][0],
@@ -362,20 +359,19 @@ def test_every_key_refuses_non_finite_values(key):
     (SimConfig(tier_mix=[0.3, 0.4, 0.3]), "tier_mix"),
     (_set_path(SimConfig(), KEY_TABLE["flc_dfd_high_umf"][0],
                [(0.5, 0.0), (0.8, 1.0), (1.0, 1.0)]), "flc_dfd_high_umf"),
-    (SimConfig(trust_flc=FLCConfig(trust_sets=OrderedDict(FLCConfig().trust_sets))),
+    (SimConfig(trust_flc=FLCConfig(trust_complete_distrust=[0.0, 0.0, 1 / 6])),
      "flc_trust_complete_distrust"),
     # ... and these crashed: a Decimal, an int too large for a float, and a
-    # controller of the wrong shape
+    # controller value of the wrong shape
     (SimConfig(malicious_fraction=Decimal("0.2")), "malicious_fraction"),
     (SimConfig(field_width_m=Decimal(100)), "field_width_m"),
     (SimConfig(field_width_m=10**400), "field_width_m"),
     (SimConfig(bs_position=(10**400, 0.0)), "bs_x"),
-    (_set_path(SimConfig(), ("trust_flc", "dfd_sets", "low"),
-               {"umf": FLCConfig().dfd_sets["low"]["umf"]}), "flc_dfd_low_lmf"),
+    (SimConfig(trust_flc=FLCConfig(dfd_low_lmf=())), "flc_dfd_low_lmf"),
     (_set_path(SimConfig(), KEY_TABLE["flc_dfr_medium_umf"][0],
                ((0.2, 0.0, 0.0), (0.5, 1.0), (0.8, 0.0))), "flc_dfr_medium_umf"),
-    (SimConfig(trust_flc=FLCConfig(dfd_sets=None)), "flc_dfd_low_umf"),
-    (_set_path(SimConfig(), ("trust_flc", "dfr_sets", "extra"), {"umf": ((0.0, 1.0),)}),
+    (SimConfig(trust_flc=FLCConfig(dfd_low_umf=None)), "flc_dfd_low_umf"),
+    (SimConfig(trust_flc=FLCConfig(dfr_low_umf=((0.0, 1.0), (Fraction(1, 5), 1.0), (0.5, 0.0)))),
      "flc_dfr_low_umf"),
     # an integer no manifest can write: it ran, and then stopped the manifest
     # at its second line
@@ -391,6 +387,8 @@ def test_every_key_refuses_non_finite_values(key):
     # (1 - eta) * p_ct rounds to 0)
     (SimConfig(election=ElectionParams(p0_init=5e-324)), "p_0"),
     (SimConfig(election=ElectionParams(p_ct=5e-324, eta=0.5)), "p_ct"),
+    # a triangle missing its third corner
+    (SimConfig(trust_flc=FLCConfig(trust_distrust=(1 / 6, 1 / 3))), "flc_trust_distrust"),
 ])
 def test_python_built_configs_are_checked_by_file_key(cfg, key):
     assert_refused(cfg, key)
@@ -432,32 +430,19 @@ def test_each_compiled_reader_reads_its_keys_path(source):
 
 
 def test_controller_refuses_non_finite_breakpoints_and_triangles():
-    low = FLCConfig().dfd_sets["low"]
     with pytest.raises(ConfigError) as err:
-        FLCConfig(dfd_sets={**FLCConfig().dfd_sets, "low": {
-            **low, "umf": ((0.0, 1.0), (math.nan, 1.0), (0.5, 0.0))}}).validate()
+        FLCConfig(dfd_low_umf=((0.0, 1.0), (math.nan, 1.0), (0.5, 0.0))).validate()
     assert err.value.field == "flc_dfd_low_umf"
     with pytest.raises(ConfigError) as err:
-        FLCConfig(trust_sets={**FLCConfig().trust_sets,
-                              "trust": (0.6, 0.8, math.inf)}).validate()
+        FLCConfig(trust_trust=(0.6, 0.8, math.inf)).validate()
     assert err.value.field == "flc_trust_trust"
-
-
-def test_editing_one_default_controller_leaves_the_others_alone():
-    default = FLCConfig().dfd_sets["low"]["umf"]
-    edited = FLCConfig()
-    edited.dfd_sets["low"]["umf"] = ((0.0, 1.0), (0.3, 1.0), (0.6, 0.0))
-    assert edited.dfr_sets["low"]["umf"] == default
-    fresh = FLCConfig()
-    assert fresh.dfd_sets["low"]["umf"] == fresh.dfr_sets["low"]["umf"] == default
 
 
 def flc_with(var: str, **umfs) -> FLCConfig:
     """The default controller with some `var` UMFs replaced, each LMF set
     equal to its UMF."""
-    sets = {**getattr(FLCConfig(), f"{var}_sets")}
-    sets.update({label: {"umf": umf, "lmf": umf} for label, umf in umfs.items()})
-    return FLCConfig(**{f"{var}_sets": sets})
+    return FLCConfig(**{f"{var}_{label}_{kind}": umf
+                        for label, umf in umfs.items() for kind in ("umf", "lmf")})
 
 
 def test_every_inferred_point_needs_an_upper_grade_above_zero():

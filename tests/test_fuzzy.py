@@ -3,7 +3,7 @@ trust classification."""
 import copy
 import math
 import random
-from collections import OrderedDict
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -49,9 +49,8 @@ def test_lower_mf_along_the_upper_one_is_an_interval():
     # equal in exact arithmetic; the LMF's extra breakpoint makes its
     # interpolation round above the UMF at some points (x = 0.0009 is one)
     ramp = ((0.0, 0.0), (1.0, 1.0))
-    sets = {**FLCConfig().dfd_sets,
-            "high": {"umf": ramp, "lmf": ((0.0, 0.0), (0.3, 0.3), (1.0, 1.0))}}
-    high = FuzzyTrustEngine(FLCConfig(dfd_sets=sets)).dfd_sets["high"]
+    flc = FLCConfig(dfd_high_umf=ramp, dfd_high_lmf=((0.0, 0.0), (0.3, 0.3), (1.0, 1.0)))
+    high = FuzzyTrustEngine(flc).dfd_sets["high"]
     for i in range(10001):
         lo, hi = high.membership(i / 10000)
         assert lo <= hi == i / 10000
@@ -68,8 +67,8 @@ def test_trust_set_symmetry_classification(engine):
 def test_engine_and_network_refuse_a_bad_controller():
     # `init_network` leaves the controller to the engine it builds; `good`
     # differs from `bad` in one value, and a refused controller is never kept
-    bad = FLCConfig(trust_sets={**FLCConfig().trust_sets, "trust": (0.8, 0.6, 1.0)})
-    good = FLCConfig(trust_sets={**FLCConfig().trust_sets, "trust": (0.8, 0.8, 1.0)})
+    bad = FLCConfig(trust_trust=(0.8, 0.6, 1.0))
+    good = FLCConfig(trust_trust=(0.8, 0.8, 1.0))
     for build in (FuzzyTrustEngine, lambda flc: init_network(SimConfig(trust_flc=flc)).engine):
         assert build(good).trust_sets["trust"] == T1TrustSet(0.8, 0.8, 1.0)
         for _ in range(2):
@@ -81,34 +80,49 @@ def test_engine_and_network_refuse_a_bad_controller():
 
 # --- tables shared per controller -------------------------------------------
 
-def test_equal_controllers_share_tables_but_not_the_cache():
-    first = FuzzyTrustEngine(FLCConfig())
+def outputs(engine):
+    """Every trust value, as hex, on a 41 x 41 evidence grid and every label
+    on a 1001-point trust grid."""
+    grid = [i / 40 for i in range(41)]
+    return ([engine.evaluate(d, r).hex() for d in grid for r in grid],
+            [engine.classify_trust(i / 1000) for i in range(1001)])
+
+
+def test_one_controller_shares_tables_but_not_the_cache():
+    flc = FLCConfig()
+    first = FuzzyTrustEngine(flc)
     first.evaluate(0.3, 0.9)
-    second = FuzzyTrustEngine(copy.deepcopy(FLCConfig()))
+    second = FuzzyTrustEngine(flc)
     for table in ("dfd_sets", "dfr_sets", "trust_sets", "_label_bounds", "_label_slots"):
         assert getattr(first, table) is getattr(second, table), table
     assert first._cache and second._cache == {}
+    # an equal controller is another object, whose tables are built again
+    copied = FuzzyTrustEngine(copy.deepcopy(flc))
+    assert copied.trust_sets is not first.trust_sets
+    assert outputs(copied) == outputs(first)
 
 
-def test_a_controller_edited_in_place_builds_from_its_new_value():
+def test_a_controller_is_frozen_and_a_replaced_one_builds_from_its_new_value():
     flc = FLCConfig()
+    with pytest.raises(FrozenInstanceError):
+        flc.dfd_low_umf = ((0.0, 1.0), (0.3, 1.0), (0.6, 0.0))
+    assert flc == FLCConfig()
+    assert flc.dfd_low_umf == flc.dfr_low_umf == ((0.0, 1.0), (0.2, 1.0), (0.5, 0.0))
     before = FuzzyTrustEngine(flc)
-    flc.dfd_sets["high"]["lmf"] = ((0.7, 0.0), (0.9, 1.0), (1.0, 1.0))
-    after = FuzzyTrustEngine(flc)
+    after = FuzzyTrustEngine(replace(flc, dfd_high_lmf=((0.7, 0.0), (0.9, 1.0), (1.0, 1.0))))
     assert after.dfd_sets["high"].lmf.points == ((0.7, 0.0), (0.9, 1.0), (1.0, 1.0))
     assert after.evaluate(0.65, 0.9) != before.evaluate(0.65, 0.9)
-    flc.trust_sets["trust"] = (0.7, 0.75, 0.8)
-    assert FuzzyTrustEngine(flc).classify_trust(0.75) == "trust"
+    narrowed = FuzzyTrustEngine(replace(flc, trust_trust=(0.7, 0.75, 0.8)))
+    assert narrowed.classify_trust(0.75) == "trust"
     assert after.classify_trust(0.75) == "medium_trust"
 
 
 def test_a_bool_is_not_taken_for_the_number_it_equals():
     # a bool compares equal to 0 or 1, but no manifest can replay it
-    complete_trust = FLCConfig().trust_sets["complete_trust"]
+    complete_trust = FLCConfig().trust_complete_trust
     for built, flc, key in [
         (FLCConfig(dfr_bypass=0.0), FLCConfig(dfr_bypass=False), "dfr_bypass"),
-        (FLCConfig(), FLCConfig(trust_sets={**FLCConfig().trust_sets, "complete_trust":
-                                            (*complete_trust[:2], True)}),
+        (FLCConfig(), FLCConfig(trust_complete_trust=(*complete_trust[:2], True)),
          "flc_trust_complete_trust"),
     ]:
         assert flc == built
@@ -118,11 +132,12 @@ def test_a_bool_is_not_taken_for_the_number_it_equals():
         assert err.value.field == key
 
 
-def test_a_controller_marshal_cannot_write_is_checked_each_time():
-    # a dict subclass or a Fraction has no marshal image, so it is never
-    # taken for the last controller built, and no file can hold it
+def test_a_controller_value_no_file_can_hold_is_checked_each_time():
+    # a refused controller is never kept, so each build checks it again
     for flc, key in [
-        (FLCConfig(trust_sets=OrderedDict(FLCConfig().trust_sets)), "flc_trust_complete_distrust"),
+        (FLCConfig(trust_complete_distrust=[0.0, 0.0, 1 / 6]), "flc_trust_complete_distrust"),
+        (FLCConfig(dfd_low_umf=None), "flc_dfd_low_umf"),
+        (FLCConfig(trust_distrust=(1 / 6, 1 / 3)), "flc_trust_distrust"),
         (FLCConfig(dfr_bypass=Fraction(1, 5)), "dfr_bypass"),
     ]:
         for _ in range(2):
@@ -132,20 +147,13 @@ def test_a_controller_marshal_cannot_write_is_checked_each_time():
 
 
 def test_a_shared_build_evaluates_and_classifies_as_a_fresh_one():
-    other = FLCConfig(dfr_bypass=0.3)
-    grid = [i / 40 for i in range(41)]
-    labels_at = [i / 1000 for i in range(1001)]
-
-    def outputs(engine):
-        return ([engine.evaluate(d, r).hex() for d in grid for r in grid],
-                [engine.classify_trust(x) for x in labels_at])
-
+    flc, other = FLCConfig(), FLCConfig(dfr_bypass=0.3)
     FuzzyTrustEngine(other)
-    fresh = FuzzyTrustEngine(FLCConfig())  # built, since the last controller differs
+    fresh = FuzzyTrustEngine(flc)  # built, since the last controller differs
     expected = outputs(fresh)
     FuzzyTrustEngine(other)
-    built = FuzzyTrustEngine(FLCConfig())
-    shared = FuzzyTrustEngine(FLCConfig())
+    built = FuzzyTrustEngine(flc)
+    shared = FuzzyTrustEngine(flc)
     assert fresh.trust_sets is not built.trust_sets is shared.trust_sets
     assert outputs(shared) == expected
 
@@ -297,6 +305,11 @@ def test_rule_table_covers_all_antecedent_pairs():
                      for r in ("low", "medium", "high")}
 
 
+def with_triangles(sets: dict) -> FLCConfig:
+    """The default controller with the consequent triangles `sets`, by label."""
+    return FLCConfig(**{f"trust_{label}": triangle for label, triangle in sets.items()})
+
+
 def test_classification_of_bracket_peaks_and_midpoints(engine):
     assert engine.classify_trust(0.0) == "complete_distrust"
     assert engine.classify_trust(0.25) == "distrust"
@@ -313,9 +326,8 @@ def test_classification_exact_tie_breaks_toward_lower_trust(engine):
         assert engine.trust_sets[lower].membership(x) == engine.trust_sets[higher].membership(x)
         assert engine.classify_trust(x) == lower
     # dyadic sets grade 0.5 twice at 0.375, with every other set at 0
-    dyadic = FuzzyTrustEngine(FLCConfig(trust_sets={
-        **FLCConfig().trust_sets, "distrust": (0.0, 0.25, 0.5),
-        "medium_distrust": (0.25, 0.5, 0.75)}))
+    dyadic = FuzzyTrustEngine(FLCConfig(trust_distrust=(0.0, 0.25, 0.5),
+                                        trust_medium_distrust=(0.25, 0.5, 0.75)))
     assert dyadic.trust_sets["distrust"].membership(0.375) == 0.5
     assert dyadic.trust_sets["medium_distrust"].membership(0.375) == 0.5
     assert dyadic.classify_trust(0.375) == "distrust"
@@ -326,7 +338,7 @@ def test_classification_next_to_a_grade_that_underflows():
     # next one, so the label there is the first set's, then the second's
     sets = {label: (5.0, 5.5, 6.0) for label in TRUST_LABELS}
     sets["intense_distrust"] = (0.0, 2.0, 3.0)
-    engine = FuzzyTrustEngine(FLCConfig(trust_sets=sets))
+    engine = FuzzyTrustEngine(with_triangles(sets))
     tiny = math.nextafter(0.0, 1.0)
     assert engine.classify_trust(tiny) == "complete_distrust"
     assert engine.classify_trust(2 * tiny) == "intense_distrust"
@@ -336,9 +348,10 @@ def test_classification_at_cuts_one_ulp_apart():
     # corners at 0.3, u and the float after u: no float lies between two
     # neighbouring cuts, and each cut keeps the label at its own value
     u = math.nextafter(0.3, 1.0)
-    sets = {**FLCConfig().trust_sets, "distrust": (0.1, 0.3, 0.5),
-            "medium_distrust": (u, u, 0.6), "medium_trust": (0.2, math.nextafter(u, 1.0), 0.7)}
-    engine = FuzzyTrustEngine(FLCConfig(trust_sets=sets))
+    sets = {**{label: getattr(FLCConfig(), f"trust_{label}") for label in TRUST_LABELS},
+            "distrust": (0.1, 0.3, 0.5), "medium_distrust": (u, u, 0.6),
+            "medium_trust": (0.2, math.nextafter(u, 1.0), 0.7)}
+    engine = FuzzyTrustEngine(with_triangles(sets))
     for cut in sorted({v for s in sets.values() for v in s}):
         x = cut
         for _ in range(3):
@@ -403,7 +416,7 @@ def _crossings(sets):
 @settings(max_examples=300, deadline=None)
 @given(sets=awkward_trust_sets(), uniform=st.lists(_coord, max_size=20))
 def test_classification_matches_the_membership_argmax(sets, uniform):
-    engine = FuzzyTrustEngine(FLCConfig(trust_sets=dict(zip(TRUST_LABELS, sets))))
+    engine = FuzzyTrustEngine(with_triangles(dict(zip(TRUST_LABELS, sets))))
     xs = [0.0, 1.0, *uniform]
     for point in {v for s in sets for v in s} | set(_crossings(sets)):
         if math.isfinite(point):

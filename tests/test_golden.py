@@ -17,11 +17,8 @@ BASE = SimConfig(node_count=30, rounds=200, seed=3)
 # narrower dfr LMFs leave evidence points where every lower firing grade
 # is 0, so the controller falls back to the upper grades (17 of 57
 # inferences)
-NARROW_DFR = {**FLCConfig().dfr_sets,
-              "medium": {**FLCConfig().dfr_sets["medium"],
-                         "lmf": ((0.45, 0.0), (0.5, 1.0), (0.55, 0.0))},
-              "high": {**FLCConfig().dfr_sets["high"],
-                       "lmf": ((0.75, 0.0), (0.9, 1.0), (1.0, 1.0))}}
+NARROW_DFR = FLCConfig(dfr_medium_lmf=((0.45, 0.0), (0.5, 1.0), (0.55, 0.0)),
+                       dfr_high_lmf=((0.75, 0.0), (0.9, 1.0), (1.0, 1.0)))
 
 CONFIGS = {
     "one_node": replace(BASE, node_count=1),
@@ -32,7 +29,7 @@ CONFIGS = {
     "bad_channel": replace(BASE, force_channel="bad"),
     "dying": replace(BASE, initial_energy_j=0.004),  # every node dead by round 71
     "converging": replace(BASE, outlier=OutlierParams(n_s=5)),
-    "lower_grades_zero": replace(BASE, trust_flc=FLCConfig(dfr_sets=NARROW_DFR)),
+    "lower_grades_zero": replace(BASE, trust_flc=NARROW_DFR),
 }
 
 FILES = ("rounds.csv", "summary.csv", "trust.csv", "outlier.csv", "manifest.txt")

@@ -187,10 +187,15 @@ def test_cli_sweeping_the_seed_is_error_code_2_and_writes_nothing(tmp_path, caps
 
 
 def test_scenario_rejects_unknown_sweep_key(tmp_path):
-    spec = parse_scenario_text("seeds = 1\nsweep_key = bogus\nsweep_values = 1\n"
-                               f"output = {tmp_path / 'sw'}\n")
-    with pytest.raises(ConfigError):
-        run_sweep(spec)
+    # a manifest's `code_version` line is no config key either: a sweep of it
+    # ran and labelled every run with a value that swept nothing
+    for key in ("bogus", "code_version"):
+        with pytest.raises(ConfigError, match=f"^sweep_key: '{key}' is not"):
+            parse_scenario_text(f"seeds = 1\nsweep_key = {key}\nsweep_values = {__version__}\n")
+        spec = ScenarioSpec(config_path=None, seeds=(1,), sweep_key=key,
+                            sweep_values=(__version__,), output_dir=str(tmp_path / "sw"))
+        with pytest.raises(ConfigError, match="^sweep_key: "):
+            run_sweep(spec)
     assert not (tmp_path / "sw").exists()  # raised before any simulation
 
 
@@ -368,6 +373,33 @@ def test_cli_run_replays_its_manifest(tmp_path, capsys):
     assert main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
     assert "code_version" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("kind", ["config", "manifest", "scenario"])
+def test_a_key_given_twice_is_refused_naming_both_lines(tmp_path, capsys, kind):
+    # the last line used to win: `seed = 1` then `seed = 2` ran seed 2
+    if kind == "manifest":
+        assert main(["run", "--rounds", "2", "--out", str(tmp_path / "first")]) == 0
+        path = tmp_path / "first" / "manifest.txt"
+        text = path.read_text()
+        path.write_text(text + "rounds = 3\n")
+        key, lines = "rounds", (text.splitlines().index("rounds = 2") + 1,
+                                len(text.splitlines()) + 1)
+    else:
+        path = tmp_path / kind
+        if kind == "config":
+            path.write_text("node_count = 5\nseed = 1\nrounds = 2\nseed = 2\n")
+            key, lines = "seed", (2, 4)
+        else:  # keys are lower-cased before they are compared
+            path.write_text("seeds = 1\nsweep_key = rounds\nsweep_values = 2\nSEEDS = 2\n")
+            key, lines = "seeds", (1, 4)
+    capsys.readouterr()
+    command = ["sweep", str(path)] if kind == "scenario" else ["run", "--config", str(path)]
+    assert main([*command, "--out", str(tmp_path / "o")]) == 2
+    assert (f"configuration error: {key}: given on lines {lines[0]} and {lines[1]}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_sweep_smoke(tmp_path):
     cfg_file = tmp_path / "tiny.cfg"
     cfg_file.write_text("node_count = 10\nrounds = 3\n")
@@ -394,6 +426,7 @@ def test_cli_sweep_any_config_key(tmp_path, capsys):
     assert [row.split(",")[:3] for row in rows] == [
         ["1", "n_nch", "1"], ["2", "n_nch", "1"], ["1", "n_nch", "3"], ["2", "n_nch", "3"]]
     for bad in ("sweep_key = bogus\nsweep_values = 1\n",
+                f"sweep_key = code_version\nsweep_values = {__version__}\n",
                 "sweep_key = n_nch\nsweep_values = 2,0\n"):  # n_nch must be >= 1
         assert sweep(bad, tmp_path / "bad") == 2
         assert not (tmp_path / "bad").exists()
