@@ -2,7 +2,7 @@
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
@@ -436,6 +436,18 @@ def test_controller_refuses_non_finite_breakpoints_and_triangles():
     with pytest.raises(ConfigError) as err:
         FLCConfig(trust_trust=(0.6, 0.8, math.inf)).validate()
     assert err.value.field == "flc_trust_trust"
+
+
+def test_editing_one_default_controller_leaves_the_others_alone():
+    default = FLCConfig().dfd_low_umf
+    edited = FLCConfig()
+    with pytest.raises(FrozenInstanceError):
+        edited.dfd_low_umf = ((0.0, 1.0), (0.3, 1.0), (0.6, 0.0))
+    assert edited.dfd_low_umf == default
+    edited = replace(edited, dfd_low_umf=((0.0, 1.0), (0.3, 1.0), (0.6, 0.0)))
+    assert edited.dfr_low_umf == default
+    fresh = FLCConfig()
+    assert fresh.dfd_low_umf == fresh.dfr_low_umf == default
 
 
 def flc_with(var: str, **umfs) -> FLCConfig:

@@ -102,18 +102,19 @@ def test_one_controller_shares_tables_but_not_the_cache():
     assert outputs(copied) == outputs(first)
 
 
-def test_a_controller_is_frozen_and_a_replaced_one_builds_from_its_new_value():
+def test_a_controller_edited_in_place_builds_from_its_new_value():
+    # a controller is frozen, so an edit is made as a replaced copy
     flc = FLCConfig()
-    with pytest.raises(FrozenInstanceError):
-        flc.dfd_low_umf = ((0.0, 1.0), (0.3, 1.0), (0.6, 0.0))
-    assert flc == FLCConfig()
-    assert flc.dfd_low_umf == flc.dfr_low_umf == ((0.0, 1.0), (0.2, 1.0), (0.5, 0.0))
     before = FuzzyTrustEngine(flc)
-    after = FuzzyTrustEngine(replace(flc, dfd_high_lmf=((0.7, 0.0), (0.9, 1.0), (1.0, 1.0))))
+    with pytest.raises(FrozenInstanceError):
+        flc.dfd_high_lmf = ((0.7, 0.0), (0.9, 1.0), (1.0, 1.0))
+    assert flc == FLCConfig()
+    flc = replace(flc, dfd_high_lmf=((0.7, 0.0), (0.9, 1.0), (1.0, 1.0)))
+    after = FuzzyTrustEngine(flc)
     assert after.dfd_sets["high"].lmf.points == ((0.7, 0.0), (0.9, 1.0), (1.0, 1.0))
     assert after.evaluate(0.65, 0.9) != before.evaluate(0.65, 0.9)
-    narrowed = FuzzyTrustEngine(replace(flc, trust_trust=(0.7, 0.75, 0.8)))
-    assert narrowed.classify_trust(0.75) == "trust"
+    flc = replace(flc, trust_trust=(0.7, 0.75, 0.8))
+    assert FuzzyTrustEngine(flc).classify_trust(0.75) == "trust"
     assert after.classify_trust(0.75) == "medium_trust"
 
 
