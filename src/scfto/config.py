@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial, reduce
-from operator import attrgetter
+from operator import add, attrgetter
 
 from . import __version__
 
@@ -233,6 +233,26 @@ class SimConfig:
         for key, p_ch in (("p_0", e.p0_init), ("p_ct", (1.0 - e.eta) * e.p_ct)):
             if not (p_ch > 0.0 and 1.0 / p_ch <= _MAX):
                 raise ConfigError(key, f"1/p_ch must be finite, got p_ch = {p_ch!r}")
+        # no link is longer than the field diagonal or than the way from the
+        # farthest field corner to the base station
+        w, h = self.field_width_m, self.field_height_m
+        bx, by = self.bs_position
+        dx, dy = max(abs(bx), abs(bx - w)), max(abs(by), abs(by - h))
+        for key, link, d in (
+                ("field_width_m" if w >= h else "field_height_m", "the field diagonal",
+                 self.field_diagonal_m),
+                ("bs_x" if dx >= dy else "bs_y",
+                 "the way from the farthest field corner to the base station",
+                 math.hypot(dx, dy))):
+            # `phy.tx_energy` costs a link at or beyond d_0 with d ** 4, which
+            # raises OverflowError above about 1.16e77 and is infinite at d = inf
+            try:
+                costable = d < self.radio.d_0 or math.isfinite(d ** 4)
+            except OverflowError:
+                costable = False
+            if not costable:
+                raise ConfigError(key, f"{link} is {d!r} m, too long for the radio "
+                                       "model: its multipath term d ** 4 overflows")
         if flc:
             self.trust_flc.validate()
 
@@ -314,9 +334,12 @@ _INTEGER = (lambda v: type(v) is int and -_MAX <= v <= _MAX,
             "must be an integer in the float range")
 _COUNT = (lambda v: type(v) is int and 1 <= v <= _MAX,
           "must be an integer >= 1 in the float range")
+# the ratios are added left to right, as `sum` does before Python 3.12 (from
+# 3.12 it compensates float rounding), so a mix is valid on every version or
+# on none
 _RATIOS = (lambda t: type(t) is tuple and len(t) == 3
            and all(type(r) in _NUMBER and 0.0 <= r <= 1.0 for r in t)
-           and abs(sum(t) - 1.0) <= 1e-9,
+           and abs(reduce(add, t, 0) - 1.0) <= 1e-9,
            "must be three ratios in [0,1] summing to 1 within 1e-9")
 _POINTS = (lambda pts: type(pts) is tuple and len(pts) > 0
            and all(type(p) is tuple and len(p) == 2 and _FINITE[0](p[0]) and _UNIT[0](p[1])

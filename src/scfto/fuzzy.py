@@ -18,12 +18,19 @@ two corners, compared exactly as the membership function computes them.
 Those slots, the antecedent sets and the consequent triangles depend only
 on the controller, so engines built from one controller share them (see
 `FuzzyTrustEngine`); each engine keeps its own inference cache.
+
+Float sums are folded left to right from 0 (`reduce(add, ..., 0)`), the
+order `sum` adds in before Python 3.12.  From 3.12 `sum` compensates float
+rounding, so with it a trust value could differ in its last bit between
+Python versions, and the run outputs with it.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .config import ANTECEDENT_LABELS, FLCConfig, PiecewiseLinearMF, TRUST_LABELS
 
@@ -151,8 +158,8 @@ def build_endpoint_list(entries: list) -> tuple:
     pair (left, right) of lists of (endpoint, lower grade, upper grade),
     each sorted ascending by endpoint, with the lower grades and the upper
     grades of each list normalized to sum to 1."""
-    lo_sum = sum(e[2] for e in entries)
-    hi_sum = sum(e[3] for e in entries)
+    lo_sum = reduce(add, (e[2] for e in entries), 0)
+    hi_sum = reduce(add, (e[3] for e in entries), 0)
     if hi_sum <= 0.0:
         raise NoEvidenceError("all firing grades are zero")
     if lo_sum <= 0.0:
@@ -178,8 +185,8 @@ def eiasc(points: list, before: int, pick) -> float:
     point has no switch point and raises; the engine passes nine or more.
     """
     after = 3 - before
-    a = sum(p[0] * p[after] for p in points)
-    b = sum(p[after] for p in points)
+    a = reduce(add, (p[0] * p[after] for p in points), 0)
+    b = reduce(add, (p[after] for p in points), 0)
     quotients = []
     for p in points[:-1]:
         a += p[0] * (p[before] - p[after])
@@ -255,8 +262,9 @@ class FuzzyTrustEngine:
         # product t-norm firing interval of each rule
         grades = [(d[d_label][0] * r[r_label][0], d[d_label][1] * r[r_label][1])
                   for d_label, r_label, _ in RULE_TABLE]
-        lo_sum = sum(g_lo for g_lo, _ in grades)
-        scale = sum(g_hi for _, g_hi in grades) / lo_sum if lo_sum > 0.0 else 1.0
+        lo_sum = reduce(add, (g_lo for g_lo, _ in grades), 0)
+        scale = (reduce(add, (g_hi for _, g_hi in grades), 0) / lo_sum
+                 if lo_sum > 0.0 else 1.0)
         entries = []
         for (_, _, t_label), (g_lo, g_hi) in zip(RULE_TABLE, grades):
             entries.extend(consequent_entries(self.trust_sets[t_label],

@@ -23,11 +23,11 @@ class NodeState:
     position: tuple
     energy_j: float
     tier: int = NORMAL
-    # head probability for the next election; `run_round` keeps it current
-    # only where the node was never head or is at or past the rotation floor.
-    # Inside the floor it holds its last value, which `rotation_eligible`
-    # still reads but which gives the same answer as any current value
-    # (`protocol.rotation_floor`)
+    # head probability for the next election; `protocol.update_nodes` keeps
+    # it current only where the node was never head or is at or past the
+    # rotation floor.  Inside the floor it holds its last value, which
+    # `rotation_eligible` still reads but which gives the same answer as any
+    # current value (`protocol.rotation_floor`)
     p_ch: float = 0.07
     trust: TrustTable = None
     tracker: ConvergenceTracker = None
@@ -93,8 +93,8 @@ def apportion_tiers(total: int, mix) -> tuple:
 
 def init_network(config: SimConfig) -> SimState:
     """Deploy nodes uniformly at random and assign malicious tiers."""
-    # SimState's engine checks the controller, unless it equals the last
-    # one an engine was built from, which was checked then
+    # SimState's engine checks the controller, unless it is the very object
+    # the last engine was built from, which was checked then
     config.validate(flc=False)
     state = SimState(config, [])
 

@@ -7,7 +7,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import repeat
+from operator import add
 
 from .config import ElectionParams, SimConfig
 from .network import NodeState, SimState
@@ -68,7 +70,9 @@ def election_probability(node: NodeState, state: SimState) -> float:
     params = state.config.election
     if not node.head_history:
         return params.p0_init
-    avg = sum(node.head_history) / len(node.head_history)
+    # added left to right, as `sum` does before Python 3.12; from 3.12 it
+    # compensates float rounding, and outputs would depend on the version
+    avg = reduce(add, node.head_history, 0) / len(node.head_history)
     label = state.engine.classify_trust(avg)
     if label == "complete_trust":
         p_x = params.p_ct
@@ -97,7 +101,7 @@ def rotation_floor(params: ElectionParams) -> int:
 def rotation_eligible(node: NodeState) -> bool:
     """True when the node has never been head or sat out its whole window.
 
-    Inside the rotation floor `p_ch` may be stale (`run_round` step 6), but
+    Inside the rotation floor `p_ch` may be stale (`update_nodes`), but
     every value it has held is at most max(p0_init, p_dt), so ceil(1/p_ch)
     is at least the floor and the node is ineligible, as it would be on a
     current value."""
@@ -129,7 +133,7 @@ def choose_head(node: NodeState, heads: list, positions: list, state: SimState):
     id.  Pre-convergence the node explores Unknown candidates first
     (nearest wins), then the best Known trust (nearest wins a tie).
     Post-convergence it wants the nearest candidate at or above its own
-    detected threshold and falls back to Unknown.  `run_round` decides
+    detected threshold and falls back to Unknown.  `join_heads` decides
     whether a node left without a head self-declares or idles.
 
     A converged node first scans the trust of every head and, when none is
@@ -223,41 +227,16 @@ def observe_forwarding(action: tuple, channel: ChannelState,
     return Outcome.FORWARDED_DELAYED, delay_s, True
 
 
-def run_round(state: SimState, round_idx: int) -> RoundReport:
-    """Execute one protocol round and report what happened.
+def elect_heads(state: SimState, alive: list, round_idx: int, ctrl_rx: float) -> tuple:
+    """Election: self-elected heads broadcast across the whole field and
+    every other alive node pays to hear each broadcast that went out.
 
-    A self-declared head (a node that `choose_head` leaves without a head
-    and that `rotation_eligible` lets lead) counts in `report.heads` and
-    restarts its rotation window, but it never broadcasts, hosts members
-    or pays energy for its headship."""
+    Returns (heads, live_heads): the elected ids in ascending order, and
+    those whose broadcast went out and who are still alive, ascending."""
     config = state.config
-    energy_before = state.total_debited_j
-    deaths_before = len(state.deaths)
-
-    # (1) channel state, one draw shared by everyone this round
-    if config.force_channel is not None:
-        channel = ChannelState(config.force_channel)
-    else:
-        channel = sample_channel_state(
-            config.channel, state.streams.stream("channel", round_idx=round_idx))
-    report = RoundReport(round_idx=round_idx, channel=channel)
-
-    alive = state.alive_nodes()
-    if not alive:
-        return report
-
-    # the round's fixed link costs, each computed once
-    radio = config.radio
-    ctrl = config.control_packet_bits
-    data_bits = config.data_packet_bits
-    ctrl_rx = rx_energy(radio, ctrl)
-    data_rx = rx_energy(radio, data_bits)
-    timeout = overhear_energy(radio, radio.d_m_s, data_bits, False)
-
-    # (2) election: self-elected heads broadcast across the whole field
     heads = [node.id for node in alive
              if should_elect(node, round_idx, state.streams)]
-    broadcast = tx_energy(radio, ctrl, config.field_diagonal_m)
+    broadcast = tx_energy(config.radio, config.control_packet_bits, config.field_diagonal_m)
     broadcast_ok = set()
     for head_id in heads:
         if state.debit(state.nodes[head_id], broadcast):
@@ -266,26 +245,34 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         heard = len(broadcast_ok) - (1 if node.id in broadcast_ok else 0)
         if heard > 0:
             state.debit(node, heard * ctrl_rx)
-    live_heads = sorted(h for h in broadcast_ok if state.nodes[h].alive)
-    head_positions = [state.nodes[h].position for h in live_heads]
+    return heads, sorted(h for h in broadcast_ok if state.nodes[h].alive)
 
-    # (3) joining: non-heads pick a head and send a request with their
-    # residual energy; a node left without a head self-declares when its
-    # rotation window allows, and otherwise idles.  Members join in
-    # ascending id order, which is their slot order: member i of a
-    # cluster sends in slot i.  Distance is symmetric, so a member's
-    # request cost is also its head's acceptance cost.
-    clusters: dict = {h: [] for h in live_heads}  # head id -> member ids
-    links: dict = {}  # member id -> (head id, distance to it, request energy)
-    self_declared: list = []
-    head_set = set(heads)
+
+def join_heads(state: SimState, alive: list, heads: list, live_heads: list,
+               ctrl_rx: float) -> tuple:
+    """Joining: non-heads pick a head and send a request with their
+    residual energy; a node left without a head self-declares when its
+    rotation window allows, and otherwise idles.
+
+    Members join in ascending id order, which is their slot order: member
+    i of a cluster sends in slot i.  Distance is symmetric, so a member's
+    request cost is also its head's acceptance cost.  Returns (clusters,
+    links, became_head): head id -> member ids for each head with members,
+    member id -> (head id, distance to it, request energy), and the set of
+    elected and self-declared heads."""
+    config = state.config
+    radio, ctrl = config.radio, config.control_packet_bits
+    head_positions = [state.nodes[h].position for h in live_heads]
+    clusters: dict = {h: [] for h in live_heads}
+    links: dict = {}
+    became_head = set(heads)
     for node in alive:
-        if node.id in head_set or not node.alive:
+        if node.id in became_head or not node.alive:
             continue
         choice = choose_head(node, live_heads, head_positions, state)
         if choice is None:
             if rotation_eligible(node):
-                self_declared.append(node.id)
+                became_head.add(node.id)  # self-declared
             continue
         head = state.nodes[choice]
         trust_at_selection = node.trust.value_of(choice) or 0.0  # Unknown counts 0
@@ -302,10 +289,14 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
         node.head_history.append(trust_at_selection)
         del node.head_history[:-config.election.n_lch]
     clusters = {h: members for h, members in clusters.items() if members}
+    return clusters, links, became_head
 
-    # (4) acceptance messages with the residual-energy extremes of the
-    # join requests and trust recommendations.  Nothing debits a member
-    # between its request and this loop, so its energy is what it sent.
+
+def send_acceptances(state: SimState, clusters: dict, links: dict, ctrl_rx: float) -> None:
+    """Acceptance messages with the residual-energy extremes of the join
+    requests and the head's trust recommendations, which each member that
+    hears its message merges.  Nothing debits a member between its request
+    and this phase, so its energy is what it sent."""
     for head_id, members in clusters.items():
         head = state.nodes[head_id]
         energies = [state.nodes[m].energy_j for m in members]
@@ -324,10 +315,21 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
             merge_recommendation(member.trust, recommendations,
                                  member.trust.value_of(head_id))
 
-    # (5) data phase, member packets in slot order.  Only a malicious head
-    # draws for a packet's fate and only a packet the head did not drop,
-    # under a bad channel, draws for what a member overhears, so only they
-    # open a stream.
+
+def send_data(state: SimState, clusters: dict, links: dict, channel: ChannelState,
+              round_idx: int) -> tuple:
+    """Data phase, member packets in slot order: each head forwards or
+    attacks, and each member records what it overhears of its own packet.
+
+    Only a malicious head draws for a packet's fate and only a packet the
+    head did not drop, under a bad channel, draws for what a member
+    overhears, so only they open a stream.  Returns the round's (drop
+    attacks, delay attacks, packets delivered to the base station)."""
+    config = state.config
+    radio, data_bits = config.radio, config.data_packet_bits
+    data_rx = rx_energy(radio, data_bits)
+    timeout = overhear_energy(radio, radio.d_m_s, data_bits, False)
+    drops = delays = delivered = 0
     for head_id, members in clusters.items():
         head = state.nodes[head_id]
         attack_rng = (state.streams.stream("attack", head_id, round_idx)
@@ -344,12 +346,12 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                 action = head_action(head, attack_rng, config)
                 fate = action[0]
                 if fate is Outcome.DROPPED:
-                    report.drop_attacks += 1
+                    drops += 1
                 else:
                     if fate is Outcome.FORWARDED_DELAYED:
-                        report.delay_attacks += 1
+                        delays += 1
                     if state.debit(head, uplink):
-                        report.packets_delivered += 1
+                        delivered += 1
                     else:
                         action = None
             if action is None:
@@ -366,14 +368,19 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                                                               observe_rng, config)
             state.debit(member, overhear_energy(radio, duration, data_bits, overheard))
             record_event(member.trust, head_id, outcome)
+    return drops, delays, delivered
 
-    # (6) per-member trust inference, threshold detection, convergence, head
-    # rotation windows and the next round's election probability.  Nothing
-    # here debits, so no node dies.  `election_probability` never reads
-    # `rounds_since_head`, so the window moves first and `p_ch` is recomputed
-    # only where its value decides the next election: never head, or at or
-    # past the rotation floor.  Nothing it depends on changes before then.
-    became_head = head_set | set(self_declared)
+
+def update_nodes(state: SimState, alive: list, links: dict, became_head: set) -> None:
+    """Per-member trust inference, threshold detection, convergence, head
+    rotation windows and the next round's election probability.
+
+    Nothing here debits, so no node dies.  `election_probability` never
+    reads `rounds_since_head`, so the window moves first and `p_ch` is
+    recomputed only where its value decides the next election: never
+    head, or at or past the rotation floor.  Nothing it depends on changes
+    before then."""
+    config = state.config
     floor = rotation_floor(config.election)
     for node in alive:
         if not node.alive:
@@ -392,7 +399,37 @@ def run_round(state: SimState, round_idx: int) -> RoundReport:
                                    or node.rounds_since_head >= floor):
             node.p_ch = election_probability(node, state)
 
-    # (7) metrics
+
+def run_round(state: SimState, round_idx: int) -> RoundReport:
+    """Execute one protocol round and report what happened: one channel
+    state drawn for everyone, then the phases in order.
+
+    A self-declared head (a node that `choose_head` leaves without a head
+    and that `rotation_eligible` lets lead) counts in `report.heads` and
+    restarts its rotation window, but it never broadcasts, hosts members
+    or pays energy for its headship."""
+    config = state.config
+    energy_before = state.total_debited_j
+    deaths_before = len(state.deaths)
+    if config.force_channel is not None:
+        channel = ChannelState(config.force_channel)
+    else:
+        channel = sample_channel_state(
+            config.channel, state.streams.stream("channel", round_idx=round_idx))
+    report = RoundReport(round_idx=round_idx, channel=channel)
+    alive = state.alive_nodes()
+    if not alive:
+        return report
+
+    # what hearing a control packet costs, charged in the first three phases
+    ctrl_rx = rx_energy(config.radio, config.control_packet_bits)
+    heads, live_heads = elect_heads(state, alive, round_idx, ctrl_rx)
+    clusters, links, became_head = join_heads(state, alive, heads, live_heads, ctrl_rx)
+    send_acceptances(state, clusters, links, ctrl_rx)
+    report.drop_attacks, report.delay_attacks, report.packets_delivered = send_data(
+        state, clusters, links, channel, round_idx)
+    update_nodes(state, alive, links, became_head)
+
     report.heads = sorted(became_head)
     report.clusters = [(h, tuple(members)) for h, members in clusters.items()]
     report.malicious_cluster_count = sum(state.nodes[h].malicious for h in clusters)

@@ -73,6 +73,11 @@ def test_election_bracket_ordering_enforced():
 def test_tier_mix_must_sum_to_one():
     with pytest.raises(ConfigError):
         SimConfig(tier_mix=(0.5, 0.4, 0.2)).validate()
+    # added left to right these miss 1 by just over 1e-9; `sum` on Python
+    # 3.12 and later compensates the rounding and passed them
+    with pytest.raises(ConfigError):
+        SimConfig(tier_mix=(0.44778769732074586, 0.4866261285215309,
+                            0.06558617315772321)).validate()
 
 
 @pytest.mark.parametrize("total,mix,expected", [
@@ -278,6 +283,28 @@ def test_round_trip_strategy_moves_every_key():
 def test_base_station_position_keys():
     cfg = parse_config_text("bs_x = 10\nbs_y = 20\n")
     assert cfg.bs_position == (10.0, 20.0)
+
+
+@pytest.mark.parametrize("line,key", [
+    ("bs_x = 1e200", "bs_x"),
+    ("bs_y = -1.2e77", "bs_y"),
+    ("field_width_m = 1e300", "field_width_m"),
+    ("field_height_m = 1e300", "field_height_m"),
+    ("field_width_m = 1.7e308\nfield_height_m = 1.7e308", "field_width_m"),  # inf diagonal
+])
+def test_a_link_too_long_to_cost_is_refused_by_its_key(line, key):
+    # `phy.tx_energy`'s multipath term d ** 4 raised OverflowError mid-run
+    with pytest.raises(ConfigError, match=r"d \*\* 4 overflows") as err:
+        parse_config_text(line)
+    assert err.value.field == key
+
+
+def test_the_longest_costable_link_runs():
+    # 1.1e77 ** 4 is finite, so the round costs it instead of raising
+    cfg = parse_config_text("bs_x = 1.1e77\nnode_count = 10\nrounds = 5\n")
+    state = init_network(cfg)
+    for r in range(cfg.rounds):
+        run_round(state, r)
 
 
 def test_validation_catches_nonpositive_energy():

@@ -292,6 +292,8 @@ def test_cli_run_config_not_utf8_is_error_code_2_and_writes_nothing(tmp_path, ca
     ("eta = 1.0", "eta"),
     ("p_0 = 2", "p_0"),
     ("p_0 = 5e-324", "p_0"),
+    ("bs_x = 1e200", "bs_x"),  # a link too long for the radio model
+    ("field_width_m = 1e300", "field_width_m"),
 ])
 def test_cli_bad_value_names_its_key_and_writes_nothing(tmp_path, capsys, line, key):
     cfg_file = tmp_path / "bad.cfg"
@@ -427,10 +429,11 @@ def test_cli_sweep_any_config_key(tmp_path, capsys):
         ["1", "n_nch", "1"], ["2", "n_nch", "1"], ["1", "n_nch", "3"], ["2", "n_nch", "3"]]
     for bad in ("sweep_key = bogus\nsweep_values = 1\n",
                 f"sweep_key = code_version\nsweep_values = {__version__}\n",
-                "sweep_key = n_nch\nsweep_values = 2,0\n"):  # n_nch must be >= 1
+                "sweep_key = n_nch\nsweep_values = 2,0\n",  # n_nch must be >= 1
+                "sweep_key = bs_x\nsweep_values = 0,1e200\n"):  # a link too long to cost
         assert sweep(bad, tmp_path / "bad") == 2
         assert not (tmp_path / "bad").exists()
-    assert "configuration error" in capsys.readouterr().err
+    assert "configuration error: bs_x: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lines", ["seeds = 1,1\n",

@@ -2,10 +2,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scfto.config import OutlierParams
 from scfto.outlier import ConvergenceTracker, detect_threshold, neighbor_counts
+
+from oracles import reference_detect_threshold
 
 PARAMS = OutlierParams(t_nbr=0.1)  # wide radius for hand-traced fixtures
 
@@ -117,6 +119,23 @@ def test_threshold_is_member_of_input():
         vals = [round(rng.random(), 3) for _ in range(rng.randint(1, 30))]
         t_th = detect_threshold(vals, PARAMS)
         assert t_th in vals
+
+
+_sixteenths = st.integers(0, 16).map(lambda k: k / 16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_sixteenths, max_size=12), t_nbr=st.integers(1, 8).map(lambda k: k / 16),
+       core_fraction=st.sampled_from((0.25, 0.5, 0.8)))
+# 0.5 is exactly t_nbr below the lowest core value, 0.75, so it stays out;
+# reading "strictly below t_nbr" as "at most" takes it in
+@example(values=[0.0625, 0.5, 0.5625, 0.75, 0.75, 0.8125, 0.9375, 1.0], t_nbr=0.25,
+         core_fraction=0.8)
+def test_threshold_matches_the_graph_walk(values, t_nbr, core_fraction):
+    # dyadic values and radii subtract exactly, so many pairs lie exactly
+    # one radius apart
+    params = OutlierParams(t_nbr=t_nbr, core_fraction=core_fraction)
+    assert detect_threshold(values, params) == reference_detect_threshold(values, params)
 
 
 def test_threshold_never_exceeds_max():
