@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import partial, reduce
+from functools import reduce
 from operator import add, attrgetter
 
 from . import __version__
@@ -190,7 +190,8 @@ class FLCConfig:
 class SimConfig:
     field_width_m: float = 100.0
     field_height_m: float = 100.0
-    bs_position: tuple = (150.0, 50.0)
+    bs_x: float = 150.0
+    bs_y: float = 50.0
     node_count: int = 100
     malicious_fraction: float = 0.3
     tier_mix: tuple = (0.3, 0.4, 0.3)
@@ -219,8 +220,6 @@ class SimConfig:
         for name, record, key in _RECORDS:
             if type(value := getattr(self, name)) is not record:
                 raise ConfigError(key, f"{name} must be a {record.__name__}, got {_shown(value)}")
-        if not (type(self.bs_position) is tuple and len(self.bs_position) == 2):
-            raise ConfigError("bs_x", "bs_position must be a pair (bs_x, bs_y)")
         _check_rows(self, _SIM_CHECKED)
         if 3 * self.attack.p_sf + 3 * self.attack.p_df > 1.0 + 1e-12:
             raise ConfigError("p_sf", "tier-3 action probabilities exceed 1: "
@@ -236,7 +235,7 @@ class SimConfig:
         # no link is longer than the field diagonal or than the way from the
         # farthest field corner to the base station
         w, h = self.field_width_m, self.field_height_m
-        bx, by = self.bs_position
+        bx, by = self.bs_x, self.bs_y
         dx, dy = max(abs(bx), abs(bx - w)), max(abs(by), abs(by - h))
         for key, link, d in (
                 ("field_width_m" if w >= h else "field_height_m", "the field diagonal",
@@ -373,14 +372,13 @@ def _keys(prefix: str, kind: tuple, check, *names: str) -> list:
 
 
 # file key -> (path into SimConfig, parser, renderer, check), in manifest
-# order.  A path step is an attribute name or a tuple index.
-# `SimConfig.validate` applies each row's check.
+# order.  A path is attribute names.  `SimConfig.validate` applies each
+# row's check.
 KEY_TABLE = {
-    key: (tuple(int(s) if s.isdigit() else s for s in path.split(".")), *kind, check)
+    key: (tuple(path.split(".")), *kind, check)
     for key, path, kind, check in [
         *_keys("", _FLOAT, _POSITIVE, "field_width_m", "field_height_m"),
-        ("bs_x", "bs_position.0", _FLOAT, _FINITE),
-        ("bs_y", "bs_position.1", _FLOAT, _FINITE),
+        *_keys("", _FLOAT, _FINITE, "bs_x", "bs_y"),
         ("node_count", "node_count", _INT, _COUNT),
         ("malicious_fraction", "malicious_fraction", _FLOAT, _UNIT),
         ("tier_mix", "tier_mix", _TUPLE3, _RATIOS),
@@ -416,17 +414,11 @@ KEY_TABLE = {
 }
 
 
-def _get(obj, step):
-    return obj[step] if isinstance(obj, tuple) else getattr(obj, step)
-
-
-# (key, reader, check) for each KEY_TABLE row, its path compiled once: the
-# controller's rows read from the controller, the others from the
-# SimConfig, a path of attribute names in C
-_SIM_CHECKED = [
-    (key, attrgetter(".".join(path)) if all(type(s) is str for s in path)
-     else partial(reduce, _get, path), check)
-    for key, (path, _, _, check) in KEY_TABLE.items() if path[0] != "trust_flc"]
+# (key, reader, check) for each KEY_TABLE row, its path compiled once into
+# an attrgetter: the controller's rows read from the controller, the others
+# from the SimConfig
+_SIM_CHECKED = [(key, attrgetter(".".join(path)), check)
+                for key, (path, _, _, check) in KEY_TABLE.items() if path[0] != "trust_flc"]
 _FLC_CHECKED = [(key, attrgetter(path[1]), check)
                 for key, (path, _, _, check) in KEY_TABLE.items() if path[0] == "trust_flc"]
 # (field, dataclass, first file key inside it) for each SimConfig sub-record
@@ -440,9 +432,7 @@ def _set_path(obj, path: tuple, value):
     """Copy of `obj` with the value at `path` replaced."""
     step = path[0]
     if len(path) > 1:
-        value = _set_path(_get(obj, step), path[1:], value)
-    if isinstance(obj, tuple):
-        return obj[:step] + (value,) + obj[step + 1:]
+        value = _set_path(getattr(obj, step), path[1:], value)
     return replace(obj, **{step: value})
 
 
@@ -485,5 +475,5 @@ def load_config(path: str, base: SimConfig | None = None) -> SimConfig:
 
 def dump_config(cfg: SimConfig) -> str:
     """Render every key as parseable `key = value` lines (manifest echo)."""
-    return "".join(f"{key} = {render(reduce(_get, path, cfg))}\n"
+    return "".join(f"{key} = {render(reduce(getattr, path, cfg))}\n"
                    for key, (path, _, render, _) in KEY_TABLE.items())

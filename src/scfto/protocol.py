@@ -329,12 +329,13 @@ def send_data(state: SimState, clusters: dict, links: dict, channel: ChannelStat
     radio, data_bits = config.radio, config.data_packet_bits
     data_rx = rx_energy(radio, data_bits)
     timeout = overhear_energy(radio, radio.d_m_s, data_bits, False)
+    bs = (config.bs_x, config.bs_y)
     drops = delays = delivered = 0
     for head_id, members in clusters.items():
         head = state.nodes[head_id]
         attack_rng = (state.streams.stream("attack", head_id, round_idx)
                       if head.malicious else None)
-        uplink = tx_energy(radio, data_bits, math.dist(head.position, config.bs_position))
+        uplink = tx_energy(radio, data_bits, math.dist(head.position, bs))
         for member_id in members:
             member = state.nodes[member_id]
             sent = state.debit(member, tx_energy(radio, data_bits, links[member_id][1]))

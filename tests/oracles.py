@@ -2,14 +2,13 @@
 simulation state, an exhaustive type reducer to check EIASC against, the
 sort-based head choice to check the k-minimum ranking against, the
 membership argmax and election probability to check `classify_trust`
-and `protocol.election_probability` against, and a walk over the
-neighbour graph to check `outlier.detect_threshold` against.  Also the
-election parameters the whole-run properties draw."""
+and `protocol.election_probability` against.  Also the election
+parameters the whole-run properties draw."""
 import math
 
 from hypothesis import strategies as st
 
-from scfto.config import TRUST_LABELS, ElectionParams, OutlierParams
+from scfto.config import TRUST_LABELS, ElectionParams
 from scfto.fuzzy import NoEvidenceError
 from scfto.network import NodeState, SimState
 
@@ -87,33 +86,6 @@ def reference_election_probability(node: NodeState, state: SimState) -> float:
         return p_x
     deficit = (node.e_max - node.energy_j) / (node.e_max - node.e_min)
     return (1.0 - params.eta * min(1.0, max(0.0, deficit))) * p_x
-
-
-def reference_detect_threshold(values: list, params: OutlierParams):
-    """`outlier.detect_threshold` read from its docstrings as a walk over
-    the neighbour graph, where two values are neighbours when they lie
-    strictly closer than t_nbr.  A value is core when its neighbour count
-    is strictly above core_fraction of the largest count.  The walk starts
-    at the largest core value (the largest value when none is core), steps
-    on only from core values, and the threshold is the least value it
-    reaches; None when there are no values."""
-    n = len(values)
-    if n == 0:
-        return None
-    neighbours = [[j for j in range(n) if j != i and abs(values[i] - values[j]) < params.t_nbr]
-                  for i in range(n)]
-    counts = [len(nbrs) for nbrs in neighbours]
-    core = [c > params.core_fraction * max(counts) for c in counts]
-    start = max(range(n), key=lambda i: (core[i], values[i]))
-    reached, frontier = {start}, [start]
-    while frontier:
-        i = frontier.pop()
-        if core[i]:
-            for j in neighbours[i]:
-                if j not in reached:
-                    reached.add(j)
-                    frontier.append(j)
-    return min(values[i] for i in reached)
 
 
 _P_DT = ElectionParams().p_dt

@@ -5,7 +5,7 @@ import sys
 from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal
 from fractions import Fraction
-from functools import reduce
+from operator import attrgetter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,7 +27,6 @@ from scfto.config import (
     SimConfig,
     _FLC_CHECKED,
     _SIM_CHECKED,
-    _get,
     _set_path,
     dump_config,
     parse_config_text,
@@ -220,7 +219,7 @@ def sim_configs(draw):
 
     return SimConfig(
         field_width_m=draw(positive()), field_height_m=draw(positive()),
-        bs_position=(draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))),
+        bs_x=draw(st.floats(-1e3, 1e3)), bs_y=draw(st.floats(-1e3, 1e3)),
         node_count=draw(counts()), malicious_fraction=draw(unit()),
         tier_mix=(mix_a, mix_b, 1.0 - mix_a - mix_b),
         data_packet_bits=draw(counts()), control_packet_bits=draw(counts()),
@@ -282,7 +281,7 @@ def test_round_trip_strategy_moves_every_key():
 
 def test_base_station_position_keys():
     cfg = parse_config_text("bs_x = 10\nbs_y = 20\n")
-    assert cfg.bs_position == (10.0, 20.0)
+    assert (cfg.bs_x, cfg.bs_y) == (10.0, 20.0)
 
 
 @pytest.mark.parametrize("line,key", [
@@ -332,8 +331,8 @@ def test_every_key_refuses_non_finite_values(key):
 @pytest.mark.parametrize("cfg,key", [
     (SimConfig(initial_energy_j=math.nan), "e_0"),
     (SimConfig(initial_energy_j=math.inf), "e_0"),
-    (SimConfig(bs_position=(math.nan, 50.0)), "bs_x"),
-    (SimConfig(bs_position=(150.0, -math.inf)), "bs_y"),
+    (SimConfig(bs_x=math.nan), "bs_x"),
+    (SimConfig(bs_y=-math.inf), "bs_y"),
     (SimConfig(field_width_m=math.inf), "field_width_m"),
     (SimConfig(tier_mix=(math.nan, 0.5, 0.5)), "tier_mix"),
     (SimConfig(outlier=OutlierParams(t_nbr=math.nan)), "t_nbr"),
@@ -341,11 +340,14 @@ def test_every_key_refuses_non_finite_values(key):
     # eta = 1 zeroes the election probability of a member at its cluster's
     # energy minimum, and the rotation window divides by it
     (SimConfig(election=ElectionParams(eta=1.0)), "eta"),
-    # integer keys refuse a float, and the base station is a pair
+    # integer keys refuse a float
     *[(_set_path(SimConfig(), path, 2.5), key)
       for key, (path, parse, _, _) in KEY_TABLE.items() if parse is int],
-    (SimConfig(bs_position=(1.0, 2.0, 3.0)), "bs_x"),
-    (SimConfig(bs_position=(1.0,)), "bs_x"),
+    # the base station's coordinates are one number each: a pair where a
+    # coordinate goes, and a coordinate so far out that the uplink's
+    # d ** 4 overflows
+    (SimConfig(bs_x=(150.0, 50.0)), "bs_x"),
+    (SimConfig(bs_x=-1e100), "bs_x"),
     # a string where a number goes: every float key, a ratio, a breakpoint
     # coordinate and a triangle corner
     *[(_set_path(SimConfig(), path, DEFAULT_VALUES[key]), key)
@@ -367,7 +369,7 @@ def test_every_key_refuses_non_finite_values(key):
     (SimConfig(seed=False), "seed"),
     (SimConfig(malicious_fraction=False), "malicious_fraction"),
     (SimConfig(tier_mix=(True, False, False)), "tier_mix"),
-    (SimConfig(bs_position=(True, 50.0)), "bs_x"),
+    (SimConfig(bs_x=False), "bs_x"),  # False equals 0.0, a valid coordinate
     (SimConfig(trust_flc=FLCConfig(dfr_bypass=False)), "dfr_bypass"),
     (_set_path(SimConfig(), KEY_TABLE["flc_trust_complete_trust"][0],
                (*FLCConfig().trust_complete_trust[:2], True)), "flc_trust_complete_trust"),
@@ -381,7 +383,7 @@ def test_every_key_refuses_non_finite_values(key):
     # a config holds only what its file can.  These ran, though no file
     # could hold them ...
     (SimConfig(malicious_fraction=Fraction(1, 5)), "malicious_fraction"),
-    (SimConfig(bs_position=(Fraction(150), 50.0)), "bs_x"),
+    (SimConfig(bs_x=Fraction(150)), "bs_x"),
     (SimConfig(trust_flc=FLCConfig(dfr_bypass=Fraction(1, 5))), "dfr_bypass"),
     (SimConfig(tier_mix=[0.3, 0.4, 0.3]), "tier_mix"),
     (_set_path(SimConfig(), KEY_TABLE["flc_dfd_high_umf"][0],
@@ -393,7 +395,7 @@ def test_every_key_refuses_non_finite_values(key):
     (SimConfig(malicious_fraction=Decimal("0.2")), "malicious_fraction"),
     (SimConfig(field_width_m=Decimal(100)), "field_width_m"),
     (SimConfig(field_width_m=10**400), "field_width_m"),
-    (SimConfig(bs_position=(10**400, 0.0)), "bs_x"),
+    (SimConfig(bs_x=10**400), "bs_x"),
     (SimConfig(trust_flc=FLCConfig(dfd_low_lmf=())), "flc_dfd_low_lmf"),
     (_set_path(SimConfig(), KEY_TABLE["flc_dfr_medium_umf"][0],
                ((0.2, 0.0, 0.0), (0.5, 1.0), (0.8, 0.0))), "flc_dfr_medium_umf"),
@@ -448,12 +450,12 @@ def test_each_compiled_reader_reads_its_keys_path(source):
     # every checked key's reader returns the object its path walk reaches
     built = SimConfig()
     for key, (path, _, _, _) in KEY_TABLE.items():
-        built = _set_path(built, path, reduce(_get, path, source))
+        built = _set_path(built, path, attrgetter(".".join(path))(source))
     assert sorted(key for key, _, _ in _SIM_CHECKED + _FLC_CHECKED) == sorted(KEY_TABLE)
     for cfg in (SimConfig(), built):
         for rows, root in ((_SIM_CHECKED, cfg), (_FLC_CHECKED, cfg.trust_flc)):
             for key, read, _ in rows:
-                assert read(root) is reduce(_get, KEY_TABLE[key][0], cfg), key
+                assert read(root) is attrgetter(".".join(KEY_TABLE[key][0]))(cfg), key
 
 
 def test_controller_refuses_non_finite_breakpoints_and_triangles():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scfto.config import OutlierParams
 from scfto.outlier import ConvergenceTracker, detect_threshold, neighbor_counts
 
-from oracles import reference_detect_threshold
+from checks import brute_threshold
 
 PARAMS = OutlierParams(t_nbr=0.1)  # wide radius for hand-traced fixtures
 
@@ -135,7 +135,7 @@ def test_threshold_matches_the_graph_walk(values, t_nbr, core_fraction):
     # dyadic values and radii subtract exactly, so many pairs lie exactly
     # one radius apart
     params = OutlierParams(t_nbr=t_nbr, core_fraction=core_fraction)
-    assert detect_threshold(values, params) == reference_detect_threshold(values, params)
+    assert detect_threshold(values, params) == brute_threshold(values, t_nbr, core_fraction)
 
 
 def test_threshold_never_exceeds_max():

@@ -7,20 +7,15 @@ threshold equals the brute-force detector, the trust surface is monotone,
 and every round's clusters, heads and alive count are consistent.  A
 replay of the same config must give equal reports.
 """
-import sys
-from pathlib import Path
-
 from hypothesis import event, given, settings, strategies as st
 
 from scfto.config import AttackParams, ElectionParams, OutlierParams, SimConfig
 from scfto.network import init_network
 from scfto.protocol import run_round
 
+from checks import (check_energy, check_ranges, check_rounds, check_thresholds,
+                    check_trust_surface)
 from oracles import election_params
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from checks import (check_energy, check_ranges, check_rounds,  # noqa: E402
-                    check_thresholds, check_trust_surface)
 
 # tier-3 heads saturate at 3*p_sf + 3*p_df = 1: drops and delays only
 _saturated = st.floats(0.0, 1.0 / 3.0).map(lambda p_sf: AttackParams(p_sf, 1.0 / 3.0 - p_sf))

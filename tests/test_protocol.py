@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scfto import protocol
-from scfto.config import AttackParams, JoinParams, SimConfig
+from scfto.config import AttackParams, ChannelEffects, JoinParams, SimConfig
 from scfto.network import NodeState, SimState, init_network
 from scfto.outlier import ConvergenceTracker
 from scfto.phy import ChannelState
@@ -423,7 +423,9 @@ def test_observe_forward_good_channel():
 
 
 def test_observe_forward_bad_channel_branches():
-    cfg = SimConfig(node_count=10, rounds=1, seed=1)
+    # p_cd and p_no differ, so a draw compared with the other one is seen
+    cfg = SimConfig(node_count=10, rounds=1, seed=1,
+                    effects=ChannelEffects(p_cd=0.6, p_no=0.2))
     p_no, p_cd = cfg.effects.p_no, cfg.effects.p_cd
     eps = 1e-12
     fwd = (Outcome.FORWARDED, 0.0)
